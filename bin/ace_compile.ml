@@ -49,9 +49,9 @@ let run_main model output weights strategy print_ir stats run_n =
   | Some `Vector -> print_endline (Ace_ir.Printer.to_string compiled.Pipeline.vec)
   | Some `Sihe -> print_endline (Ace_ir.Printer.to_string compiled.Pipeline.sihe)
   | Some `Ckks -> print_endline (Ace_ir.Printer.to_string compiled.Pipeline.ckks)
-  | Some `Poly -> print_endline (Ace_poly_ir.Poly_ir.to_string compiled.Pipeline.poly)
+  | Some `Poly -> print_endline (Ace_poly_ir.Poly_ir.to_string (fst (Pipeline.emit_c compiled)))
   | None ->
-    write_file output compiled.Pipeline.c_source;
+    write_file output (snd (Pipeline.emit_c compiled));
     write_file weights (Ace_codegen.C_backend.emit_weights_file compiled.Pipeline.ckks);
     Printf.printf "wrote %s and %s\n" output weights);
   if stats then Format.printf "%a@." Stats.pp (Stats.of_compiled compiled);

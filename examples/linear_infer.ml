@@ -33,6 +33,7 @@ let truncate_listing s ~keep =
 let () =
   let nn = Import.import (Parser.parse model_text) in
   let c = Pipeline.compile Pipeline.ace nn in
+  let poly, c_source = Pipeline.emit_c c in
 
   banner "NN IR (Listing 1)";
   print_endline (Printer.to_string c.Pipeline.nn);
@@ -47,15 +48,15 @@ let () =
   print_endline (truncate_listing (Printer.to_string c.Pipeline.ckks) ~keep:30);
 
   banner "POLY IR (Section 4.5)";
-  print_endline (truncate_listing (Poly_ir.to_string c.Pipeline.poly) ~keep:30);
+  print_endline (truncate_listing (Poly_ir.to_string poly) ~keep:30);
 
   banner "Generated C (Section 3.4)";
-  print_endline (truncate_listing c.Pipeline.c_source ~keep:30);
+  print_endline (truncate_listing c_source ~keep:30);
 
   banner "Size comparison (the paper: 331 POLY-IR lines -> 68 C lines)";
   Printf.printf "NN %d | VECTOR %d | SIHE %d | CKKS %d lines\n"
     (Printer.line_count c.Pipeline.nn) (Printer.line_count c.Pipeline.vec)
     (Printer.line_count c.Pipeline.sihe) (Printer.line_count c.Pipeline.ckks);
   Printf.printf "POLY %d statements -> %d C lines (weights external)\n"
-    (Poly_ir.stmt_count c.Pipeline.poly)
-    (Ace_codegen.C_backend.line_count c.Pipeline.c_source)
+    (Poly_ir.stmt_count poly)
+    (Ace_codegen.C_backend.line_count c_source)

@@ -326,10 +326,7 @@ let read_func r =
   done;
   f
 
-let encode_func f =
-  let w = B.writer () in
-  write_func w f;
-  B.contents w
+let encode_func f = B.encode (fun w -> write_func w f)
 
 let decode_func s = B.decode read_func s
 

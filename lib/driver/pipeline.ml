@@ -7,7 +7,6 @@ module Ckks_lazy = Ace_ckks_ir.Ckks_lazy
 module Ckks_cplx = Ace_ckks_ir.Ckks_cplx
 module Keygen_plan = Ace_ckks_ir.Keygen_plan
 module Param_select = Ace_ckks_ir.Param_select
-module Poly_ir = Ace_poly_ir.Poly_ir
 module Verifier = Ace_verify.Verifier
 module Fhe = Ace_fhe
 open Ace_ir
@@ -79,8 +78,6 @@ type compiled = {
   vec : Irfunc.t;
   sihe : Irfunc.t;
   ckks : Irfunc.t;
-  poly : Poly_ir.func;
-  c_source : string;
   input_layout : Layout.t;
   output_layouts : Layout.t list;
   key_plan : Keygen_plan.plan;
@@ -275,17 +272,6 @@ let compile ?context ?batch ?complex strategy nn_input =
      planned Galois key, and hoisted bundles must be accessed only through
      batch_get — the checks that subsume a runtime Missing_rotation_key. *)
   verify_stage ~pass:"keys" ~plan:key_plan ~context ckks;
-  (* POLY level. *)
-  let (poly, c_source), t_poly =
-    timed "poly" (fun () ->
-        let p = Ace_poly_ir.Lower_ckks.lower ckks in
-        let p = Ace_poly_ir.Loop_fusion.fuse p in
-        let p = Ace_poly_ir.Op_fusion.fuse p in
-        (p, Ace_codegen.C_backend.emit ckks p))
-  in
-  if Verifier.enabled () then Verifier.poly_exn ~pass:"poly" poly;
-  (* "Others": weight externalisation (the paper writes them to disk). *)
-  let _, t_other = timed "other" (fun () -> Ace_codegen.C_backend.emit_weights_file ckks) in
   {
     strategy;
     batch;
@@ -295,8 +281,6 @@ let compile ?context ?batch ?complex strategy nn_input =
     vec;
     sihe;
     ckks;
-    poly;
-    c_source;
     input_layout = in_layout;
     output_layouts = out_layouts;
     key_plan;
@@ -307,18 +291,30 @@ let compile ?context ?batch ?complex strategy nn_input =
         (Level.Vector, t_vec);
         (Level.Sihe, t_sihe);
         (Level.Ckks, t_ckks +. t_keys);
-        (Level.Poly, t_poly);
+        (* POLY and the generated C are exports ([emit_c]), not part of
+           compiling: the row stays so Figure 5 keeps its columns. *)
+        (Level.Poly, 0.0);
       ];
-    other_seconds = t_other;
+    other_seconds = 0.0;
   }
+
+(* The generated-code export (paper Section 3.4): POLY lowering, loop/op
+   fusion and C emission. Execution never reads it — the VM runs the CKKS
+   function — so only callers that write or inspect C pay for it. *)
+let emit_c c =
+  Ace_telemetry.Telemetry.span ~cat:"export" "export.c" (fun () ->
+      let p = Ace_poly_ir.Lower_ckks.lower c.ckks in
+      let p = Ace_poly_ir.Loop_fusion.fuse p in
+      let p = Ace_poly_ir.Op_fusion.fuse p in
+      if Verifier.enabled () then Verifier.poly_exn ~pass:"poly" p;
+      (p, Ace_codegen.C_backend.emit c.ckks p))
 
 (* Reassembling a [compiled] from a persisted artifact: the serving
    daemon's warm-restart path. Only the execution-side fields are real;
-   the upper IR levels and the C artifact get placeholders (serving
-   never reads them), and the keygen plan is re-derived from the CKKS
-   function exactly as [compile] derives it — [Keygen_plan.pruned] is a
-   linear walk, so restoring costs microseconds where [compile] costs
-   seconds. *)
+   the upper IR levels get placeholders (serving never reads them), and
+   the keygen plan is re-derived from the CKKS function exactly as
+   [compile] derives it — [Keygen_plan.pruned] is a linear walk, so
+   restoring costs microseconds where [compile] costs seconds. *)
 let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts ~lazy_stats ()
     =
   let placeholder level =
@@ -339,8 +335,6 @@ let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts 
     vec = placeholder Level.Vector;
     sihe = placeholder Level.Sihe;
     ckks;
-    poly = { Poly_ir.poly_name = "restored-artifact"; poly_params = []; body = []; returns = [] };
-    c_source = "";
     input_layout;
     output_layouts;
     key_plan;

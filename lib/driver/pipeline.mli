@@ -2,8 +2,10 @@
     execution helpers.
 
     [compile] runs NN import cleanups, NN->VECTOR, VECTOR->SIHE,
-    SIHE->CKKS, CKKS fusion, rotation-key planning and POLY lowering,
-    timing each level for the Figure 5 breakdown. Two built-in strategies:
+    SIHE->CKKS, CKKS fusion and rotation-key planning, timing each level
+    for the Figure 5 breakdown. POLY lowering and C emission are an
+    explicit export ({!emit_c}): the VM executes the CKKS function, so
+    compiling stops there. Two built-in strategies:
 
     - {!ace}: every optimization on (conv regrouping, BSGS GEMM, lazy
       rescaling, minimal-level bootstrapping, pruned rotation keys);
@@ -58,17 +60,22 @@ type compiled = {
   nn : Ace_ir.Irfunc.t;
   vec : Ace_ir.Irfunc.t;
   sihe : Ace_ir.Irfunc.t;
-  ckks : Ace_ir.Irfunc.t;
-  poly : Ace_poly_ir.Poly_ir.func;
-  c_source : string;
+      (** the upper IR levels stay for inspection and the cleartext
+          interpreters; they share their constant arrays with [ckks], so
+          keeping them costs little beyond the CKKS function itself *)
+  ckks : Ace_ir.Irfunc.t;  (** the function the VM executes *)
   input_layout : Ace_vector.Layout.t;
   output_layouts : Ace_vector.Layout.t list;
   key_plan : Ace_ckks_ir.Keygen_plan.plan;
   lazy_stats : Ace_ckks_ir.Ckks_lazy.stats;
       (** eager-vs-lazy relin/rescale counts of the CKKS function (equal
           when the lazy passes were disabled) *)
-  level_seconds : (Ace_ir.Level.t * float) list; (** Figure 5 rows *)
-  other_seconds : float; (** weight externalisation etc. *)
+  level_seconds : (Ace_ir.Level.t * float) list;
+      (** Figure 5 rows; the [Poly] row reads 0.0 because POLY lowering
+          is part of {!emit_c}, not of [compile] *)
+  other_seconds : float;
+      (** 0.0: weight externalisation is the
+          {!Ace_codegen.C_backend.emit_weights_file} export *)
 }
 
 val lazy_enabled : strategy -> bool
@@ -96,6 +103,14 @@ val compile :
     (default {!default_complex}[ ()]) additionally packs two request
     streams per slot via {!Ace_ckks_ir.Ckks_cplx}. *)
 
+val emit_c : compiled -> Ace_poly_ir.Poly_ir.func * string
+(** The generated-code export (paper Section 3.4): lower the CKKS
+    function to POLY, fuse loops and ops, check the POLY function when
+    the verifier is on, and emit C with the weights externalised. Pair
+    with {!Ace_codegen.C_backend.emit_weights_file} for the weight table.
+    Works on a {!restore}d value too. Records an [export.c] span when
+    tracing. *)
+
 val requests_per_ct : compiled -> int
 (** Independent requests one ciphertext carries: [batch], doubled under
     complex packing. The batch helpers below expect exactly this many
@@ -114,12 +129,11 @@ val restore :
   compiled
 (** Reassemble a [compiled] from a persisted serving artifact
     ({!Ace_serve.Wire}) without re-running any lowering: the keygen plan
-    is re-derived from the CKKS function (a cheap walk), and the fields
-    serving never touches — the upper IR levels, the POLY function, the
-    generated C — hold explicit placeholders. Every serving entry point
-    ([make_keys], [encrypt_*], [run_encrypted*], [decrypt_*],
-    [make_runtime]) works on a restored value; [Stats.of_compiled] and
-    the C artifact accessors do not. *)
+    is re-derived from the CKKS function (a cheap walk), and the upper IR
+    levels, which serving never touches, hold explicit placeholders.
+    Every serving entry point ([make_keys], [encrypt_*], [run_encrypted*],
+    [decrypt_*], [make_runtime]) and {!emit_c} work on a restored value;
+    [Stats.of_compiled] does not. *)
 
 val slots_needed : Ace_ir.Irfunc.t -> int
 (** Smallest power-of-two slot vector the NN function's layouts fit in. *)

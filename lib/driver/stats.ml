@@ -30,6 +30,7 @@ let count_op f pred = Irfunc.fold f ~init:0 ~f:(fun acc n -> if pred n.Irfunc.op
 
 let of_compiled (c : Pipeline.compiled) =
   let ckks = c.Pipeline.ckks in
+  let poly, c_source = Pipeline.emit_c c in
   {
     model = Irfunc.name c.Pipeline.nn;
     nodes_per_level =
@@ -46,8 +47,8 @@ let of_compiled (c : Pipeline.compiled) =
         (Level.Sihe, Printer.line_count c.Pipeline.sihe);
         (Level.Ckks, Printer.line_count ckks);
       ];
-    poly_stmts = Ace_poly_ir.Poly_ir.stmt_count c.Pipeline.poly;
-    c_lines = Ace_codegen.C_backend.line_count c.Pipeline.c_source;
+    poly_stmts = Ace_poly_ir.Poly_ir.stmt_count poly;
+    c_lines = Ace_codegen.C_backend.line_count c_source;
     const_floats =
       List.fold_left
         (fun acc name -> acc + Array.length (Irfunc.const ckks name))

@@ -33,6 +33,9 @@ type t = {
 }
 
 val of_compiled : Pipeline.compiled -> t
+(** Runs {!Pipeline.emit_c} for [poly_stmts] and [c_lines], so it costs
+    about as much as the C export. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string

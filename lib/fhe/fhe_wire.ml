@@ -56,10 +56,7 @@ let read_params r =
   if depth < 1 then fail "bad depth %d" depth;
   { Context.log2_n; depth; scale_bits; q0_bits; special_bits; security; error_sigma }
 
-let params_fingerprint p =
-  let w = B.writer () in
-  write_params w p;
-  Digest.string (B.contents w)
+let params_fingerprint p = Digest.string (B.encode (fun w -> write_params w p))
 
 let context_fingerprint ctx = params_fingerprint (Context.params ctx)
 
@@ -85,9 +82,7 @@ let write_poly w (p : Rns_poly.t) =
   B.w_u16 w limbs;
   Array.iter (fun ci -> B.w_u16 w ci) p.Rns_poly.chain_idx;
   B.w_u32 w (Rns_poly.ring_degree p);
-  Array.iter
-    (fun row -> Array.iter (fun v -> B.w_i64 w v) row)
-    p.Rns_poly.data
+  Array.iter (B.w_i64s w) p.Rns_poly.data
 
 (* Residues are range-checked against their limb's prime: a corrupted
    stream yields a typed error here, never a polynomial that silently
@@ -144,10 +139,7 @@ let read_ct ctx r =
     polys;
   { Ciphertext.polys; ct_scale = scale }
 
-let encode_ct ctx ct =
-  let w = B.writer () in
-  write_ct ctx w ct;
-  B.contents w
+let encode_ct ctx ct = B.encode (fun w -> write_ct ctx w ct)
 
 let decode_ct ctx s = B.decode (read_ct ctx) s
 
@@ -224,9 +216,6 @@ let read_keys ctx r =
   done;
   { Keys.context = ctx; secret; public = (pb, pa); relin; galois }
 
-let encode_keys keys =
-  let w = B.writer () in
-  write_keys w keys;
-  B.contents w
+let encode_keys keys = B.encode (fun w -> write_keys w keys)
 
 let decode_keys ctx s = B.decode (read_keys ctx) s

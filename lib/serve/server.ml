@@ -59,8 +59,8 @@ type session = {
 type conn = {
   c_fd : Unix.file_descr;
   c_id : int;
-  c_in : Buffer.t;
-  c_out : Buffer.t;
+  c_in : Byte_queue.t;
+  c_out : Byte_queue.t;
   mutable c_alive : bool;
   mutable c_close_after_flush : bool;
 }
@@ -252,7 +252,7 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Connection plumbing                                                 *)
 
-let send conn resp = Buffer.add_string conn.c_out (Wire.encode_response resp)
+let send conn resp = Byte_queue.add_string conn.c_out (Wire.encode_response resp)
 
 let drop t conn =
   if conn.c_alive then begin
@@ -264,22 +264,13 @@ let drop t conn =
 (* Non-blocking flush of whatever the socket accepts; a dead peer
    (EPIPE/ECONNRESET) costs only this connection. *)
 let flush_conn t conn =
-  if conn.c_alive && Buffer.length conn.c_out > 0 then begin
-    let data = Buffer.contents conn.c_out in
-    let n = String.length data in
-    let written =
-      try Unix.write_substring conn.c_fd data 0 n with
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> 0
-      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        drop t conn;
-        0
-    in
-    if conn.c_alive && written > 0 then begin
-      Buffer.clear conn.c_out;
-      if written < n then Buffer.add_substring conn.c_out data written (n - written)
-    end
+  let q = conn.c_out in
+  if conn.c_alive && Byte_queue.length q > 0 then begin
+    try ignore (Byte_queue.write q conn.c_fd) with
+    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> drop t conn
   end;
-  if conn.c_alive && conn.c_close_after_flush && Buffer.length conn.c_out = 0 then drop t conn
+  if conn.c_alive && conn.c_close_after_flush && Byte_queue.length q = 0 then drop t conn
 
 let accept_conn t =
   match Unix.accept t.listen_fd with
@@ -290,8 +281,8 @@ let accept_conn t =
       {
         c_fd = fd;
         c_id = t.next_conn_id;
-        c_in = Buffer.create 4096;
-        c_out = Buffer.create 4096;
+        c_in = Byte_queue.create ();
+        c_out = Byte_queue.create ();
         c_alive = true;
         c_close_after_flush = false;
       }
@@ -435,23 +426,21 @@ let handle_request t conn req =
    poison the stream (unknown resync point): typed error, then close.
    Payload faults keep framing intact: typed error, connection lives. *)
 let process_input t conn =
+  let q = conn.c_in in
   let progress = ref true in
   while !progress && conn.c_alive do
     progress := false;
-    let buffered = Buffer.length conn.c_in in
+    let buffered = Byte_queue.length q in
     if buffered >= Wire.frame_header_bytes then begin
-      let hdr = Buffer.sub conn.c_in 0 Wire.frame_header_bytes in
+      let hdr = Byte_queue.sub q 0 Wire.frame_header_bytes in
       match Wire.parse_header hdr with
       | Error (code, message) ->
         send conn (Wire.Err { code; message });
         conn.c_close_after_flush <- true
       | Ok h ->
         if buffered >= Wire.frame_header_bytes + h.Wire.h_len then begin
-          let all = Buffer.contents conn.c_in in
-          let payload = String.sub all Wire.frame_header_bytes h.h_len in
-          let rest_off = Wire.frame_header_bytes + h.h_len in
-          Buffer.clear conn.c_in;
-          Buffer.add_substring conn.c_in all rest_off (String.length all - rest_off);
+          let payload = Byte_queue.sub q Wire.frame_header_bytes h.h_len in
+          Byte_queue.consume q (Wire.frame_header_bytes + h.h_len);
           (match Wire.decode_request h.h_type payload with
           | Error (code, message) -> send conn (Wire.Err { code; message })
           | Ok req -> (
@@ -464,13 +453,10 @@ let process_input t conn =
   done
 
 let handle_readable t conn =
-  let chunk = Bytes.create 65536 in
   let rec read_avail () =
-    match Unix.read conn.c_fd chunk 0 (Bytes.length chunk) with
+    match Byte_queue.read conn.c_in conn.c_fd with
     | 0 -> drop t conn
-    | n ->
-      Buffer.add_subbytes conn.c_in chunk 0 n;
-      read_avail ()
+    | _ -> read_avail ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_avail ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> drop t conn
@@ -566,7 +552,7 @@ let dispatch_one t =
 let done_draining t =
   Atomic.get t.drain_flag
   && Queue.is_empty t.queue
-  && List.for_all (fun c -> Buffer.length c.c_out = 0) t.conns
+  && List.for_all (fun c -> Byte_queue.length c.c_out = 0) t.conns
 
 let run t =
   let running = ref true in
@@ -576,7 +562,7 @@ let run t =
       let rds = t.listen_fd :: List.map (fun c -> c.c_fd) t.conns in
       let wrs =
         List.filter_map
-          (fun c -> if Buffer.length c.c_out > 0 then Some c.c_fd else None)
+          (fun c -> if Byte_queue.length c.c_out > 0 then Some c.c_fd else None)
           t.conns
       in
       let timeout = if Queue.is_empty t.queue then 0.25 else 0.0 in

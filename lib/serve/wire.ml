@@ -321,14 +321,14 @@ let read_stats r =
 
 type header = { h_type : int; h_len : int }
 
-let frame tag payload =
-  let w = B.writer () in
+(* Header and payload go out in one pass; the payload's length comes
+   from a counting pass, which is one step per string or array. *)
+let write_frame w tag payload =
   B.w_bytes w frame_magic;
   B.w_u16 w proto_version;
   B.w_u8 w tag;
-  B.w_u32 w (String.length payload);
-  B.w_bytes w payload;
-  B.contents w
+  B.w_u32 w (B.size payload);
+  payload w
 
 let parse_header s =
   if String.length s < frame_header_bytes then
@@ -369,73 +369,58 @@ let tag_stats_ok = 134
 let tag_reloaded = 135
 let tag_drain_ok = 136
 
-let encode_request req =
-  let w = B.writer () in
-  let tag =
-    match req with
-    | Hello { client } ->
-      B.w_string w client;
-      tag_hello
-    | Describe { model } ->
-      B.w_string w model;
-      tag_describe
-    | Put_keys { tenant; model; oracle_seed; keys } ->
-      B.w_string w tenant;
-      B.w_string w model;
-      B.w_i64 w oracle_seed;
-      B.w_string w keys;
-      tag_put_keys
-    | Infer { tenant; model; request_id; region; coalesce; ct } ->
-      B.w_string w tenant;
-      B.w_string w model;
-      B.w_string w request_id;
-      B.w_u32 w region;
-      B.w_bool w coalesce;
-      B.w_string w ct;
-      tag_infer
-    | Get_stats -> tag_get_stats
-    | Reload { model } ->
-      B.w_string w model;
-      tag_reload
-    | Drain -> tag_drain
-  in
-  frame tag (B.contents w)
+let write_request w req =
+  match req with
+  | Hello { client } -> write_frame w tag_hello (fun w -> B.w_string w client)
+  | Describe { model } -> write_frame w tag_describe (fun w -> B.w_string w model)
+  | Put_keys { tenant; model; oracle_seed; keys } ->
+    write_frame w tag_put_keys (fun w ->
+        B.w_string w tenant;
+        B.w_string w model;
+        B.w_i64 w oracle_seed;
+        B.w_string w keys)
+  | Infer { tenant; model; request_id; region; coalesce; ct } ->
+    write_frame w tag_infer (fun w ->
+        B.w_string w tenant;
+        B.w_string w model;
+        B.w_string w request_id;
+        B.w_u32 w region;
+        B.w_bool w coalesce;
+        B.w_string w ct)
+  | Get_stats -> write_frame w tag_get_stats ignore
+  | Reload { model } -> write_frame w tag_reload (fun w -> B.w_string w model)
+  | Drain -> write_frame w tag_drain ignore
 
-let encode_response resp =
-  let w = B.writer () in
-  let tag =
-    match resp with
-    | Hello_ok { server; proto; models } ->
-      B.w_string w server;
-      B.w_u16 w proto;
-      w_string_list w models;
-      tag_hello_ok
-    | Model_info m ->
-      write_model_info w m;
-      tag_model_info
-    | Keys_ok -> tag_keys_ok
-    | Result { request_id; ct } ->
-      B.w_string w request_id;
-      B.w_string w ct;
-      tag_result
-    | Overloaded { queue_depth; queued_units } ->
-      B.w_u32 w queue_depth;
-      B.w_f64 w queued_units;
-      tag_overloaded
-    | Err { code; message } ->
-      B.w_u8 w (error_code_tag code);
-      B.w_string w message;
-      tag_err
-    | Stats_ok s ->
-      write_stats w s;
-      tag_stats_ok
-    | Reloaded { model; from_cache } ->
-      B.w_string w model;
-      B.w_bool w from_cache;
-      tag_reloaded
-    | Drain_ok -> tag_drain_ok
-  in
-  frame tag (B.contents w)
+let write_response w resp =
+  match resp with
+  | Hello_ok { server; proto; models } ->
+    write_frame w tag_hello_ok (fun w ->
+        B.w_string w server;
+        B.w_u16 w proto;
+        w_string_list w models)
+  | Model_info m -> write_frame w tag_model_info (fun w -> write_model_info w m)
+  | Keys_ok -> write_frame w tag_keys_ok ignore
+  | Result { request_id; ct } ->
+    write_frame w tag_result (fun w ->
+        B.w_string w request_id;
+        B.w_string w ct)
+  | Overloaded { queue_depth; queued_units } ->
+    write_frame w tag_overloaded (fun w ->
+        B.w_u32 w queue_depth;
+        B.w_f64 w queued_units)
+  | Err { code; message } ->
+    write_frame w tag_err (fun w ->
+        B.w_u8 w (error_code_tag code);
+        B.w_string w message)
+  | Stats_ok st -> write_frame w tag_stats_ok (fun w -> write_stats w st)
+  | Reloaded { model; from_cache } ->
+    write_frame w tag_reloaded (fun w ->
+        B.w_string w model;
+        B.w_bool w from_cache)
+  | Drain_ok -> write_frame w tag_drain_ok ignore
+
+let encode_request req = B.encode (fun w -> write_request w req)
+let encode_response resp = B.encode (fun w -> write_response w resp)
 
 let run_decoder f payload =
   match B.decode f payload with Ok v -> Ok v | Error msg -> Error (Bad_payload, msg)
@@ -582,14 +567,16 @@ let artifact_magic = "ACEA"
 let artifact_version = 1
 
 let artifact_hash ~spec ~strategy ~batch ~complex =
-  let w = B.writer () in
-  B.w_string w spec;
-  write_strategy w strategy;
-  B.w_u32 w batch;
-  B.w_bool w complex;
-  B.w_u16 w artifact_version;
-  B.w_u16 w Fhe_wire.format_version;
-  Digest.to_hex (Digest.string (B.contents w))
+  let key =
+    B.encode (fun w ->
+        B.w_string w spec;
+        write_strategy w strategy;
+        B.w_u32 w batch;
+        B.w_bool w complex;
+        B.w_u16 w artifact_version;
+        B.w_u16 w Fhe_wire.format_version)
+  in
+  Digest.to_hex (Digest.string key)
 
 let artifact_of_compiled ~spec ~hash (c : Pipeline.compiled) =
   {
@@ -611,8 +598,7 @@ let compiled_of_artifact a =
     ~input_layout:a.art_input_layout ~output_layouts:a.art_output_layouts
     ~lazy_stats:a.art_lazy ()
 
-let encode_artifact a =
-  let w = B.writer () in
+let write_artifact w a =
   B.w_bytes w artifact_magic;
   B.w_u16 w artifact_version;
   B.w_string w a.art_spec;
@@ -629,8 +615,9 @@ let encode_artifact a =
   write_layout w a.art_input_layout;
   B.w_u16 w (List.length a.art_output_layouts);
   List.iter (write_layout w) a.art_output_layouts;
-  write_lazy_stats w a.art_lazy;
-  B.contents w
+  write_lazy_stats w a.art_lazy
+
+let encode_artifact a = B.encode (fun w -> write_artifact w a)
 
 let decode_artifact s =
   B.decode

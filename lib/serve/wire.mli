@@ -118,9 +118,15 @@ type response =
 (** {1 Frame encode/decode} *)
 
 val encode_request : request -> string
-(** A complete frame, header included. *)
+(** A complete frame, header included, built in one allocation of exactly
+    its size ({!Ace_util.Bytesio.encode}). *)
 
 val encode_response : response -> string
+
+val write_request : Ace_util.Bytesio.writer -> request -> unit
+(** The bytes of {!encode_request}, written to any writer. *)
+
+val write_response : Ace_util.Bytesio.writer -> response -> unit
 
 type header = { h_type : int; h_len : int }
 
@@ -166,4 +172,9 @@ val artifact_of_compiled : spec:string -> hash:string -> Pipeline.compiled -> ar
 val compiled_of_artifact : artifact -> Pipeline.compiled
 
 val encode_artifact : artifact -> string
+(** One allocation of exactly the artifact's size. *)
+
+val write_artifact : Ace_util.Bytesio.writer -> artifact -> unit
+(** The bytes of {!encode_artifact}, written to any writer. *)
+
 val decode_artifact : string -> (artifact, string) result

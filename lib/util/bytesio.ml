@@ -2,41 +2,89 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
-type writer = Buffer.t
+(* One writer type serves three roles: growable ([writer ()]), counting
+   (the first pass of [encode]: it advances [len] and stores nothing) and
+   exactly sized (the second pass of [encode], which never grows). *)
+type writer = { mutable buf : Bytes.t; mutable len : int; counting : bool }
 
-let writer () = Buffer.create 256
-let contents = Buffer.contents
-let length = Buffer.length
+let writer () = { buf = Bytes.create 256; len = 0; counting = false }
+let contents w = Bytes.sub_string w.buf 0 w.len
 
-let w_u8 b v =
+(* Claim [n] bytes and return their offset, or -1 in a counting pass. *)
+let claim w n =
+  let off = w.len in
+  w.len <- off + n;
+  if w.counting then -1
+  else begin
+    if w.len > Bytes.length w.buf then begin
+      let b = Bytes.create (max w.len (2 * Bytes.length w.buf)) in
+      Bytes.blit w.buf 0 b 0 off;
+      w.buf <- b
+    end;
+    off
+  end
+
+let size f =
+  let w = { buf = Bytes.empty; len = 0; counting = true } in
+  f w;
+  w.len
+
+let encode f =
+  let n = size f in
+  let w = { buf = Bytes.create n; len = 0; counting = false } in
+  f w;
+  if w.len <> n then
+    invalid_arg (Printf.sprintf "Bytesio.encode: counted %d bytes, wrote %d" n w.len);
+  Bytes.unsafe_to_string w.buf
+
+let w_u8 w v =
   if v < 0 || v > 0xff then invalid_arg (Printf.sprintf "Bytesio.w_u8: %d" v);
-  Buffer.add_char b (Char.chr v)
+  let o = claim w 1 in
+  if o >= 0 then Bytes.set_uint8 w.buf o v
 
-let w_u16 b v =
+let w_u16 w v =
   if v < 0 || v > 0xffff then invalid_arg (Printf.sprintf "Bytesio.w_u16: %d" v);
-  Buffer.add_uint16_le b v
+  let o = claim w 2 in
+  if o >= 0 then Bytes.set_uint16_le w.buf o v
 
-let w_u32 b v =
+let w_u32 w v =
   if v < 0 || v > 0xffff_ffff then invalid_arg (Printf.sprintf "Bytesio.w_u32: %d" v);
-  Buffer.add_int32_le b (Int32.of_int v)
+  let o = claim w 4 in
+  if o >= 0 then Bytes.set_int32_le w.buf o (Int32.of_int v)
 
-let w_i64 b v = Buffer.add_int64_le b (Int64.of_int v)
-let w_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
-let w_bool b v = w_u8 b (if v then 1 else 0)
+let w_i64 w v =
+  let o = claim w 8 in
+  if o >= 0 then Bytes.set_int64_le w.buf o (Int64.of_int v)
 
-let w_string b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+let w_f64 w v =
+  let o = claim w 8 in
+  if o >= 0 then Bytes.set_int64_le w.buf o (Int64.bits_of_float v)
 
-let w_bytes b s = Buffer.add_string b s
+let w_bool w v = w_u8 w (if v then 1 else 0)
 
-let w_int_array b a =
-  w_u32 b (Array.length a);
-  Array.iter (fun v -> w_i64 b v) a
+let w_bytes w s =
+  let o = claim w (String.length s) in
+  if o >= 0 then Bytes.blit_string s 0 w.buf o (String.length s)
 
-let w_float_array b a =
-  w_u32 b (Array.length a);
-  Array.iter (fun v -> w_f64 b v) a
+let w_string w s =
+  w_u32 w (String.length s);
+  w_bytes w s
+
+(* Arrays claim their whole extent at once, so a counting pass costs one
+   step per array, not one per element. *)
+let w_i64s w a =
+  let o = claim w (8 * Array.length a) in
+  if o >= 0 then Array.iteri (fun i v -> Bytes.set_int64_le w.buf (o + (8 * i)) (Int64.of_int v)) a
+
+let w_int_array w a =
+  w_u32 w (Array.length a);
+  w_i64s w a
+
+let w_float_array w a =
+  w_u32 w (Array.length a);
+  let o = claim w (8 * Array.length a) in
+  if o >= 0 then
+    Array.iteri (fun i v -> Bytes.set_int64_le w.buf (o + (8 * i)) (Int64.bits_of_float v)) a
 
 type reader = { data : string; mutable rpos : int }
 

@@ -26,8 +26,19 @@ exception Error of string
 type writer
 
 val writer : unit -> writer
+(** A growable writer; {!contents} copies out what it holds. *)
+
 val contents : writer -> string
-val length : writer -> int
+
+val encode : (writer -> unit) -> string
+(** [encode f] runs [f] twice: a counting pass that stores nothing, then
+    a pass into one buffer of exactly the counted size, which becomes the
+    result without a copy. Returns the bytes [f] writes to a growable
+    writer. [f] must write the same bytes both times (codecs do);
+    @raise Invalid_argument if the two passes differ in length. *)
+
+val size : (writer -> unit) -> int
+(** The byte count [f] writes, from a counting pass alone. *)
 
 val w_u8 : writer -> int -> unit
 (** [0 .. 255]; @raise Invalid_argument outside. *)
@@ -50,6 +61,9 @@ val w_bytes : writer -> string -> unit
 
 val w_int_array : writer -> int array -> unit
 (** u32 element count, then each element as i64. *)
+
+val w_i64s : writer -> int array -> unit
+(** Each element as i64, no count prefix (for rows of a known length). *)
 
 val w_float_array : writer -> float array -> unit
 

@@ -33,6 +33,28 @@ let input_layout cfg f =
   let c, h, w = first_input_dims f in
   Layout.with_batch (Layout.create ~channels:c ~height:h ~width:w ~slots:cfg.slots) cfg.batch
 
+(* Mask dedup table. The polymorphic hash reads only a prefix of a float
+   array, and masks often share a long zero prefix, so they would pile into
+   one bucket and make lowering quadratic. This hash reads every element.
+   Keys stay equal under [compare], as before, so -0.0 and 0.0 hash alike,
+   as do all NaNs. *)
+module Mask_key = struct
+  type t = float array
+
+  let equal a b = compare a b = 0
+
+  let hash m =
+    let h = ref (Array.length m) in
+    for i = 0 to Array.length m - 1 do
+      let x = Array.unsafe_get m i in
+      let x = if x = 0.0 then 0.0 else if Float.is_nan x then Float.nan else x in
+      h := (!h * 1_000_003) lxor Int64.to_int (Int64.bits_of_float x)
+    done;
+    !h land max_int
+end
+
+module Mask_tbl = Hashtbl.Make (Mask_key)
+
 (* Lowering context: per-NN-node the VECTOR node id and its layout. *)
 type ctx = {
   cfg : config;
@@ -40,7 +62,7 @@ type ctx = {
   dst : Irfunc.t;
   layouts : (int, Layout.t) Hashtbl.t; (* NN node id -> layout *)
   ids : (int, int) Hashtbl.t; (* NN node id -> VECTOR node id *)
-  mask_memo : (float array, string) Hashtbl.t;
+  mask_memo : string Mask_tbl.t;
   vty : Types.t;
 }
 
@@ -48,11 +70,11 @@ let vec_id ctx i = Hashtbl.find ctx.ids i
 let layout ctx i = Hashtbl.find ctx.layouts i
 
 let mask_const ctx ~prefix m =
-  match Hashtbl.find_opt ctx.mask_memo m with
+  match Mask_tbl.find_opt ctx.mask_memo m with
   | Some name -> name
   | None ->
     let name = Irfunc.fresh_const ctx.dst ~prefix m in
-    Hashtbl.add ctx.mask_memo m name;
+    Mask_tbl.add ctx.mask_memo m name;
     name
 
 let emit ctx op args = Irfunc.add ctx.dst op args ctx.vty
@@ -363,7 +385,7 @@ let lower cfg src =
       dst;
       layouts = Hashtbl.create 64;
       ids = Hashtbl.create 64;
-      mask_memo = Hashtbl.create 64;
+      mask_memo = Mask_tbl.create 64;
       vty;
     }
   in

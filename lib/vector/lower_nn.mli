@@ -40,6 +40,13 @@ val lower : config -> Ace_ir.Irfunc.t -> Ace_ir.Irfunc.t * Layout.t list
     (consumed by the generated decryptor). The input image parameter is
     expected packed with {!Layout.vector_of_tensor} of its gap-1 layout. *)
 
+module Mask_key : Hashtbl.HashedType with type t = float array
+(** The key of the table that dedups mask constants (identical masks
+    share one constant). Masks are equal under [compare], so [-0.0]
+    equals [0.0] and NaN equals NaN, and they hash alike. The hash reads
+    every element, so masks that differ only past a long common prefix
+    land in different buckets. *)
+
 val input_layout : config -> Ace_ir.Irfunc.t -> Layout.t
 (** The layout the encryptor must use for the (single) input tensor. *)
 

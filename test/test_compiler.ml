@@ -349,14 +349,14 @@ let contains ~needle hay =
 
 let test_c_backend_emits_runtime_calls () =
   let c = compile_gemv Pipeline.ace in
-  let src = c.Pipeline.c_source in
+  let poly, src = Pipeline.emit_c c in
   List.iter
     (fun marker ->
       Alcotest.(check bool) marker true (contains ~needle:marker src))
     [ "#include \"acefhe.h\""; "extern const double *ace_weights"; "Ace_rescale"; "for (int i" ];
   (* The paper's observation: generated C is far smaller than the POLY IR. *)
   Alcotest.(check bool) "C smaller than POLY listing" true
-    (Ace_codegen.C_backend.line_count src < Poly_ir.stmt_count c.Pipeline.poly * 4)
+    (Ace_codegen.C_backend.line_count src < Poly_ir.stmt_count poly * 4)
 
 let test_weight_file_roundtrip_size () =
   let c = compile_gemv Pipeline.ace in

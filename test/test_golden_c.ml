@@ -55,7 +55,7 @@ let check_snapshot ~golden ~current () =
 
 let c_source_stable () =
   check_snapshot ~golden:"linear_infer.c"
-    ~current:(fun () -> (Lazy.force compiled).Pipeline.c_source)
+    ~current:(fun () -> snd (Pipeline.emit_c (Lazy.force compiled)))
     ()
 
 let weights_stable () =
@@ -69,7 +69,7 @@ let emission_deterministic () =
   let again = Pipeline.compile Pipeline.ace nn in
   Alcotest.(check bool)
     "two compiles emit identical C" true
-    (String.equal (Lazy.force compiled).Pipeline.c_source again.Pipeline.c_source)
+    (String.equal (snd (Pipeline.emit_c (Lazy.force compiled))) (snd (Pipeline.emit_c again)))
 
 let () =
   Alcotest.run "golden-c"

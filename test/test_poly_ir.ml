@@ -161,11 +161,8 @@ let test_c_backend_inline_weights () =
     Ace_nn.Import.import (Ace_onnx.Builder.finish b)
   in
   let c = Ace_driver.Pipeline.compile Ace_driver.Pipeline.ace nn in
-  let extern = Ace_codegen.C_backend.emit c.Ace_driver.Pipeline.ckks c.Ace_driver.Pipeline.poly in
-  let inline =
-    Ace_codegen.C_backend.emit ~extern_weights:false c.Ace_driver.Pipeline.ckks
-      c.Ace_driver.Pipeline.poly
-  in
+  let poly, extern = Ace_driver.Pipeline.emit_c c in
+  let inline = Ace_codegen.C_backend.emit ~extern_weights:false c.Ace_driver.Pipeline.ckks poly in
   (* The paper's Section 3.4 point: externalising weights shrinks the file. *)
   Alcotest.(check bool) "extern smaller" true (String.length extern < String.length inline)
 

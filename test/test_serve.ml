@@ -373,6 +373,99 @@ let test_artifact_cache_warm_restart () =
   Array.iter (fun f -> Sys.remove (Filename.concat cache_dir f)) (Sys.readdir cache_dir);
   Unix.rmdir cache_dir
 
+(* --- framing: byte-by-byte delivery --- *)
+
+(* The server consumes its input by offset, so a frame's bytes may arrive
+   in any split. 64 pipelined Infer frames delivered one byte per write
+   must get exactly the replies that one write of all 64 gets. *)
+let test_split_frames_same_replies () =
+  with_server ~max_queue:128 (fun socket ->
+      let t, sess = prepare_tenant socket "alice" ~key_seed:1 in
+      let n = 64 in
+      let frames =
+        String.concat ""
+          (List.init n (fun i ->
+               Wire.encode_request
+                 (Wire.Infer
+                    {
+                      tenant = "alice";
+                      model = "demo";
+                      request_id = Printf.sprintf "r%d" i;
+                      region = 0;
+                      coalesce = false;
+                      ct = Client.encrypt sess ~seed:(300 + i) (random_image (400 + i));
+                    })))
+      in
+      let replies send =
+        let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect raw (Unix.ADDR_UNIX socket);
+        send raw;
+        let got =
+          List.init n (fun i ->
+              match Wire.read_frame raw with
+              | Ok (h, payload) -> (
+                match Wire.decode_response h.Wire.h_type payload with
+                | Ok (Wire.Result _) -> payload
+                | _ -> Alcotest.failf "reply %d is not a Result" i)
+              | Error (_, e) -> Alcotest.failf "reply %d: %s" i e)
+        in
+        Unix.close raw;
+        got
+      in
+      let whole = replies (fun fd -> Wire.write_all fd frames) in
+      let split =
+        replies (fun fd ->
+            String.iteri (fun i _ -> Wire.write_all fd (String.sub frames i 1)) frames)
+      in
+      Alcotest.(check int) "all replies" n (List.length split);
+      Alcotest.(check bool) "byte-split replies identical to whole-write replies" true
+        (whole = split);
+      Client.close t)
+
+(* --- the connection byte queue --- *)
+
+(* Random appends and consumes against a string model: the queue must
+   always hold exactly the unconsumed bytes, across in-place compaction
+   and growth. *)
+let prop_byte_queue_model =
+  QCheck.Test.make ~name:"byte queue matches a string model" ~count:100
+    QCheck.(list (pair bool (int_bound 9000)))
+    (fun ops ->
+      let q = Ace_serve.Byte_queue.create () in
+      let model = ref "" and next = ref 0 in
+      List.iter
+        (fun (add, k) ->
+          if add then begin
+            let s = String.init k (fun i -> Char.chr ((!next + i) land 0xff)) in
+            next := !next + 7;
+            Ace_serve.Byte_queue.add_string q s;
+            model := !model ^ s
+          end
+          else begin
+            let n = min k (String.length !model) in
+            Ace_serve.Byte_queue.consume q n;
+            model := String.sub !model n (String.length !model - n)
+          end)
+        ops;
+      Ace_serve.Byte_queue.sub q 0 (Ace_serve.Byte_queue.length q) = !model)
+
+(* Under a pipe's capacity, so one thread can write then read. *)
+let test_byte_queue_fd_io () =
+  let r, w = Unix.pipe () in
+  let data = String.init 50_000 (fun i -> Char.chr ((i * 31) land 0xff)) in
+  let out = Ace_serve.Byte_queue.create () and inq = Ace_serve.Byte_queue.create () in
+  Ace_serve.Byte_queue.add_string out data;
+  while Ace_serve.Byte_queue.length out > 0 do
+    ignore (Ace_serve.Byte_queue.write out w)
+  done;
+  while Ace_serve.Byte_queue.length inq < String.length data do
+    ignore (Ace_serve.Byte_queue.read inq r)
+  done;
+  Unix.close r;
+  Unix.close w;
+  Alcotest.(check bool) "bytes through a pipe" true
+    (Ace_serve.Byte_queue.sub inq 0 (String.length data) = data)
+
 (* --- drain --- *)
 
 let test_drain_stops_admission () =
@@ -410,5 +503,12 @@ let () =
           Alcotest.test_case "artifact cache warm restart" `Quick
             test_artifact_cache_warm_restart;
           Alcotest.test_case "drain stops admission" `Quick test_drain_stops_admission;
+          Alcotest.test_case "64 pipelined frames: byte-split = whole replies" `Quick
+            test_split_frames_same_replies;
+        ] );
+      ( "queue",
+        [
+          QCheck_alcotest.to_alcotest prop_byte_queue_model;
+          Alcotest.test_case "read/write through a pipe" `Quick test_byte_queue_fd_io;
         ] );
     ]

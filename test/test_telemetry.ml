@@ -211,6 +211,20 @@ let test_tracing_identical_ciphertexts () =
   Telemetry.reset_trace ();
   Telemetry.reset_flight ()
 
+(* Compiling stops at the CKKS function: POLY lowering and the C and
+   weight exports run only through [Pipeline.emit_c] and the C backend. *)
+let test_compile_records_no_export_spans () =
+  let names =
+    with_tracing @@ fun () ->
+    ignore (Pipeline.compile Pipeline.ace (Import.import (gemv ())));
+    List.map (fun e -> e.Telemetry.ev_name) (Telemetry.events ())
+  in
+  Telemetry.reset_trace ();
+  Alcotest.(check bool) "compile.ckks recorded" true (List.mem "compile.ckks" names);
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " not recorded") false (List.mem n names))
+    [ "compile.poly"; "compile.other" ]
+
 (* ---- flight recorder: depth-10 tower ---- *)
 
 let test_flight_recorder_tower () =
@@ -589,6 +603,8 @@ let () =
           Alcotest.test_case "tracing on/off bit-identical" `Quick
             test_tracing_identical_ciphertexts;
           Alcotest.test_case "per-layer debug runner" `Quick test_debug_runner_layers;
+          Alcotest.test_case "compile records no POLY/weights span" `Quick
+            test_compile_records_no_export_spans;
         ] );
       ( "flight",
         [

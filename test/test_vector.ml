@@ -175,6 +175,58 @@ let test_lower_resnet_mini_end_to_end () =
   let e = max_err expect got in
   if e > 1e-6 then Alcotest.failf "resnet-mini lowering error %.3e" e
 
+(* --- mask dedup --- *)
+
+module Mask_tbl = Hashtbl.Make (Lower_nn.Mask_key)
+
+let test_mask_table_whole_mask () =
+  let mask tail = Array.init 256 (fun i -> if i < 64 then 0.0 else tail *. float_of_int i) in
+  let a = mask 1.0 and b = mask 2.0 in
+  let h = Lower_nn.Mask_key.hash in
+  Alcotest.(check bool) "shared 64-float prefix, different hashes" true (h a <> h b);
+  let t = Mask_tbl.create 8 in
+  Mask_tbl.add t a "a";
+  Mask_tbl.add t b "b";
+  Alcotest.(check (option string)) "first mask" (Some "a") (Mask_tbl.find_opt t a);
+  Alcotest.(check (option string)) "second mask" (Some "b") (Mask_tbl.find_opt t b);
+  Alcotest.(check (option string)) "an equal copy finds the same binding" (Some "a")
+    (Mask_tbl.find_opt t (Array.copy a));
+  (* the same classes [compare] identifies *)
+  let neg = Array.map (fun x -> if x = 0.0 then -0.0 else x) a in
+  Alcotest.(check bool) "-0.0 hashes as 0.0" true (h neg = h a);
+  Alcotest.(check (option string)) "-0.0 mask finds the 0.0 mask" (Some "a")
+    (Mask_tbl.find_opt t neg);
+  let nan1 = [| Float.nan; 1.0 |] and nan2 = [| -.Float.nan; 1.0 |] in
+  Alcotest.(check bool) "NaNs hash alike" true (h nan1 = h nan2);
+  Mask_tbl.add t nan1 "nan";
+  Alcotest.(check (option string)) "NaN mask found" (Some "nan") (Mask_tbl.find_opt t nan2)
+
+(* Lowering a ResNet: every mask constant is distinct (identical masks
+   share one), and some distinct masks share a 64-float prefix. *)
+let test_lowering_dedups_masks () =
+  let spec =
+    { Ace_models.Resnet.resnet20 with Ace_models.Resnet.model_name = "resnet8"; depth = 8 }
+  in
+  let f = Ace_models.Resnet.build_calibrated spec in
+  let vf, _ = Lower_nn.lower cfg_base f in
+  let from_nn = Irfunc.const_names f in
+  let masks =
+    Irfunc.const_names vf
+    |> List.filter (fun n -> not (List.mem n from_nn))
+    |> List.map (Irfunc.const vf)
+    |> List.sort compare
+  in
+  let rec adjacent_distinct = function
+    | a :: (b :: _ as rest) -> compare a b <> 0 && adjacent_distinct rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "many masks" true (List.length masks > 10);
+  Alcotest.(check bool) "no two mask constants are equal" true (adjacent_distinct masks);
+  let prefix m = Array.sub m 0 64 in
+  let prefixes = List.sort_uniq compare (List.map prefix masks) in
+  Alcotest.(check bool) "distinct masks share 64-float prefixes" true
+    (List.length prefixes < List.length masks)
+
 let test_rotation_amount_analysis () =
   let vf = lower_and_compare ~cfg:cfg_base (conv_graph ~in_c:4 ~out_c:4 ~stride:1 ()) in
   let rots = Lower_nn.rotation_amounts vf in
@@ -249,6 +301,8 @@ let () =
           Alcotest.test_case "relu + residual add" `Quick test_lower_relu_and_add;
           Alcotest.test_case "resnet-mini end to end" `Quick test_lower_resnet_mini_end_to_end;
           Alcotest.test_case "rotation analysis" `Quick test_rotation_amount_analysis;
+          Alcotest.test_case "mask table hashes whole masks" `Quick test_mask_table_whole_mask;
+          Alcotest.test_case "lowering dedups masks" `Quick test_lowering_dedups_masks;
         ] );
       ( "interp",
         [

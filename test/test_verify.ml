@@ -67,7 +67,7 @@ let clean_all_stages () =
    with
   | [] -> ()
   | ds -> Alcotest.failf "ckks+plan: %s" (Verifier.errors_to_string ds));
-  match Verifier.poly ~pass:"poly" c.Pipeline.poly with
+  match Verifier.poly ~pass:"poly" (fst (Pipeline.emit_c c)) with
   | [] -> ()
   | ds -> Alcotest.failf "poly: %s" (Verifier.errors_to_string ds)
 

@@ -271,29 +271,29 @@ let test_irfunc_truncation () =
 
 let reqs_equal a b = a = b
 
+let sample_requests s1 s2 n =
+  [
+    Wire.Hello { client = s1 };
+    Wire.Describe { model = s2 };
+    Wire.Put_keys { tenant = s1; model = s2; oracle_seed = n; keys = s1 ^ "\x00" ^ s2 };
+    Wire.Infer
+      {
+        tenant = s1;
+        model = s2;
+        request_id = s2 ^ s1;
+        region = n mod 8;
+        coalesce = n mod 2 = 0;
+        ct = s2 ^ "\xff\x00" ^ s1;
+      };
+    Wire.Get_stats;
+    Wire.Reload { model = s1 };
+    Wire.Drain;
+  ]
+
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"request frames round-trip" ~count:100
     QCheck.(pair small_string (pair small_string (int_bound 1000)))
     (fun (s1, (s2, n)) ->
-      let reqs =
-        [
-          Wire.Hello { client = s1 };
-          Wire.Describe { model = s2 };
-          Wire.Put_keys { tenant = s1; model = s2; oracle_seed = n; keys = s1 ^ "\x00" ^ s2 };
-          Wire.Infer
-            {
-              tenant = s1;
-              model = s2;
-              request_id = s2 ^ s1;
-              region = n mod 8;
-              coalesce = n mod 2 = 0;
-              ct = s2 ^ "\xff\x00" ^ s1;
-            };
-          Wire.Get_stats;
-          Wire.Reload { model = s1 };
-          Wire.Drain;
-        ]
-      in
       List.for_all
         (fun req ->
           let frame = Wire.encode_request req in
@@ -304,50 +304,50 @@ let prop_request_roundtrip =
             match Wire.decode_request h.h_type payload with
             | Ok req' -> reqs_equal req req'
             | Error _ -> false))
-        reqs)
+        (sample_requests s1 s2 n))
 
-let test_response_roundtrip () =
+let sample_responses s1 s2 n =
   let layout = Ace_vector.Layout.create ~channels:1 ~height:4 ~width:4 ~slots:64 in
   let mi =
     {
-      Wire.mi_name = "demo";
-      mi_hash = "abc123";
+      Wire.mi_name = s1;
+      mi_hash = s2;
       mi_params = test_params;
       mi_batch = 2;
       mi_requests_per_ct = 2;
       mi_cplx = false;
       mi_output_mults = [ 0.5 ];
-      mi_rotation_steps = [ 1; -3; 8 ];
+      mi_rotation_steps = [ 1; -3; 8; n ];
       mi_input_layout = Ace_vector.Layout.with_batch layout 2;
       mi_output_layouts = [ Ace_vector.Layout.with_batch layout 2 ];
       mi_predicted_units = 1234.5;
       mi_from_cache = true;
     }
   in
-  let resps =
-    [
-      Wire.Hello_ok { server = "s"; proto = Wire.proto_version; models = [ "a"; "b" ] };
-      Wire.Model_info mi;
-      Wire.Keys_ok;
-      Wire.Result { request_id = "r1"; ct = "\x00\xffbinary" };
-      Wire.Overloaded { queue_depth = 7; queued_units = 123.5 };
-      Wire.Err { code = Wire.Bad_payload; message = "nope" };
-      Wire.Stats_ok
-        {
-          Wire.sv_queue_depth = 1;
-          sv_queued_units = 2.5;
-          sv_served = 3;
-          sv_rejected = 4;
-          sv_coalesced = 5;
-          sv_sessions = 6;
-          sv_cache_hits = 7;
-          sv_cache_misses = 8;
-          sv_draining = true;
-        };
-      Wire.Reloaded { model = "m"; from_cache = false };
-      Wire.Drain_ok;
-    ]
-  in
+  [
+    Wire.Hello_ok { server = s1; proto = Wire.proto_version; models = [ "a"; s2 ] };
+    Wire.Model_info mi;
+    Wire.Keys_ok;
+    Wire.Result { request_id = s1; ct = "\x00\xffbinary" ^ s2 };
+    Wire.Overloaded { queue_depth = n; queued_units = 123.5 };
+    Wire.Err { code = Wire.Bad_payload; message = s2 };
+    Wire.Stats_ok
+      {
+        Wire.sv_queue_depth = 1;
+        sv_queued_units = 2.5;
+        sv_served = n;
+        sv_rejected = 4;
+        sv_coalesced = 5;
+        sv_sessions = 6;
+        sv_cache_hits = 7;
+        sv_cache_misses = 8;
+        sv_draining = true;
+      };
+    Wire.Reloaded { model = s1; from_cache = false };
+    Wire.Drain_ok;
+  ]
+
+let test_response_roundtrip () =
   List.iter
     (fun resp ->
       let frame = Wire.encode_response resp in
@@ -358,7 +358,7 @@ let test_response_roundtrip () =
         match Wire.decode_response h.h_type payload with
         | Ok resp' -> Alcotest.(check bool) "response equal" true (resp = resp')
         | Error (_, m) -> Alcotest.fail m))
-    resps
+    (sample_responses "s" "nope" 7)
 
 let test_header_faults () =
   let frame = Wire.encode_request Wire.Get_stats in
@@ -428,6 +428,65 @@ let test_artifact_hash_sensitivity () =
     (h ~spec:"m" ~strategy:Pipeline.expert ~batch:1 ~complex:false <> base)
 
 (* --- model specs --- *)
+
+(* --- one-allocation encoding --- *)
+
+(* [Bytesio.encode] (a counting pass, then one exactly sized buffer) must
+   produce the bytes the growable writer does, for every codec. *)
+let grown f =
+  let w = B.writer () in
+  f w;
+  B.contents w
+
+let prop_encode_matches_growable =
+  QCheck.Test.make ~name:"Bytesio.encode = growable writer (artifacts, frames)" ~count:30
+    QCheck.(triple small_string small_string (pair (int_bound 1000) (list float)))
+    (fun (s1, s2, (n, floats)) ->
+      let c = Lazy.force compiled_gemv in
+      let cplx =
+        if n mod 2 = 0 then None
+        else
+          Some
+            {
+              Ace_ckks_ir.Ckks_cplx.stats =
+                {
+                  packed_nodes = n;
+                  split_nodes = 1;
+                  pack_ops = 2;
+                  unpack_ops = 3;
+                  regions = 4;
+                  regions_refused = 5;
+                };
+              output_mults = floats;
+            }
+      in
+      let art =
+        { (Wire.artifact_of_compiled ~spec:s1 ~hash:s2 c) with Wire.art_cplx = cplx }
+      in
+      let prims w =
+        B.w_string w s1;
+        B.w_float_array w (Array.of_list floats);
+        B.w_int_array w [| n; -n |];
+        B.w_i64s w [| n |]
+      in
+      String.equal (B.encode prims) (grown prims)
+      && String.equal (Wire.encode_artifact art) (grown (fun w -> Wire.write_artifact w art))
+      && List.for_all
+           (fun r -> String.equal (Wire.encode_request r) (grown (fun w -> Wire.write_request w r)))
+           (sample_requests s1 s2 n)
+      && List.for_all
+           (fun r ->
+             String.equal (Wire.encode_response r) (grown (fun w -> Wire.write_response w r)))
+           (sample_responses s1 s2 n))
+
+let test_encode_ciphertext_and_keys () =
+  let ctx = Lazy.force test_ctx in
+  let ct = random_ct 11 in
+  Alcotest.(check bool) "ciphertext" true
+    (String.equal (Fhe_wire.encode_ct ctx ct) (grown (fun w -> Fhe_wire.write_ct ctx w ct)));
+  let keys = Lazy.force test_keys in
+  Alcotest.(check bool) "keys" true
+    (String.equal (Fhe_wire.encode_keys keys) (grown (fun w -> Fhe_wire.write_keys w keys)))
 
 let test_model_spec_grammar () =
   (match Model_spec.parse "gemv:16:4" with
@@ -501,6 +560,11 @@ let () =
             test_artifact_restores_bit_identical_inference;
           Alcotest.test_case "hash covers spec/strategy/batch/complex" `Quick
             test_artifact_hash_sensitivity;
+        ] );
+      ( "encode",
+        [
+          QCheck_alcotest.to_alcotest prop_encode_matches_growable;
+          Alcotest.test_case "ciphertext and key codecs" `Quick test_encode_ciphertext_and_keys;
         ] );
       ( "model-spec",
         [

@@ -14,6 +14,17 @@ ACE_DOMAINS=1 dune runtest --force
 echo "== tests, ACE_DOMAINS=4 =="
 ACE_DOMAINS=4 dune runtest --force
 
+# Export smoke: generated C is an explicit export, not a side effect of
+# compiling. The ace_compile binary must write exactly the golden C and
+# weight table for the example model.
+echo "== ace_compile export smoke =="
+cdir=$(mktemp -d)
+dune exec bin/ace_compile.exe -- examples/linear_infer.onnxt \
+  -o "$cdir/linear_infer.c" --weights "$cdir/linear_infer_weights.c" >/dev/null
+cmp "$cdir/linear_infer.c" examples/generated/linear_infer.c
+cmp "$cdir/linear_infer_weights.c" examples/generated/linear_infer_weights.c
+rm -rf "$cdir"
+
 # Traced smoke: a small end-to-end encrypted inference with ACE_TRACE set
 # must produce a Chrome-loadable trace, at both pool widths.  With 4
 # domains the worker spans land on distinct shards, so the checker can

@@ -22,7 +22,7 @@ let () =
       close_out oc;
       Printf.printf "wrote %s (%d bytes)\n" path (String.length contents)
     in
-    write (base ^ ".c") compiled.Ace_driver.Pipeline.c_source;
+    write (base ^ ".c") (snd (Ace_driver.Pipeline.emit_c compiled));
     write
       (base ^ "_weights.c")
       (Ace_codegen.C_backend.emit_weights_file compiled.Ace_driver.Pipeline.ckks)
