@@ -4,9 +4,10 @@
                 [--tenant t0] [--requests N] [--seed S] [--verify]
 
    Prepares a session (describe, keygen, key upload), submits N
-   encrypted inference requests and decrypts the replies. --verify
-   checks every decrypted output against the cleartext interpreter and
-   exits non-zero on disagreement beyond the usual CKKS tolerance. *)
+   encrypted inference requests and decrypts the replies, matched to
+   their requests by id. --verify checks every decrypted output against
+   the cleartext interpreter and exits non-zero on disagreement beyond
+   the usual CKKS tolerance. *)
 
 module Client = Ace_serve.Client
 module Model_spec = Ace_serve.Model_spec
@@ -30,22 +31,28 @@ let run_client socket model tenant requests seed verify spec_str =
       Array.init requests (fun _ ->
           Array.init n_in (fun _ -> (Ace_util.Rng.float rng 2.0) -. 1.0))
     in
-    (* Pipeline all requests, then collect replies in order. *)
+    (* Pipeline all requests, then collect the replies, matching each to
+       its request by id (the server may answer out of order). *)
+    let index = Hashtbl.create requests in
     Array.iteri
       (fun i image ->
-        Client.submit t sess
-          ~request_id:(Printf.sprintf "%s-%d" tenant i)
-          (Client.encrypt sess ~seed:(seed + 10 + i) image))
+        let request_id = Printf.sprintf "%s-%d" tenant i in
+        Hashtbl.replace index request_id i;
+        Client.submit t sess ~request_id (Client.encrypt sess ~seed:(seed + 10 + i) image))
       images;
     let failures = ref 0 in
     let ok = ref 0 in
     (try
-       for i = 0 to requests - 1 do
+       for reply = 0 to requests - 1 do
          match Client.await_result t with
          | Error msg ->
            incr failures;
-           Printf.eprintf "request %d: %s\n%!" i msg
-         | Ok (_, blob) -> (
+           Printf.eprintf "reply %d: %s\n%!" reply msg
+         | Ok (rid, _) when not (Hashtbl.mem index rid) ->
+           incr failures;
+           Printf.eprintf "reply %d: unknown request id %S\n%!" reply rid
+         | Ok (rid, blob) -> (
+           let i = Hashtbl.find index rid in
            match Client.decrypt sess ~region:0 blob with
            | Error msg ->
              incr failures;

@@ -70,6 +70,8 @@ let node_cost (n : Irfunc.node) =
    bucket collects measured-µs / predicted-units ratios, so a drifting
    constant in [node_cost] shows up as that bucket's ratio diverging from
    the others'. *)
+let func_cost f = Irfunc.fold f ~init:0.0 ~f:(fun acc n -> acc +. node_cost n)
+
 let node_category (n : Irfunc.node) =
   match n.Irfunc.op with
   | Op.C_relin | Op.C_rotate _ | Op.C_conj | Op.C_rotate_batch _ -> "key_switch"

@@ -33,6 +33,13 @@ val node_cost : Ace_ir.Irfunc.node -> float
     wall-clock (the [calib.*] telemetry metrics) and so the serving
     daemon can price a request before running it. *)
 
+val func_cost : Ace_ir.Irfunc.t -> float
+(** {!node_cost} summed over every node, in program order: the predicted
+    work of one execution. A fresh {!Vm.start} execution's
+    [Vm.remaining] equals it bit for bit (the same additions in the same
+    order), which the serving daemon's strict-comparison pick rule
+    relies on. *)
+
 val node_category : Ace_ir.Irfunc.node -> string
 (** Calibration bucket of a node's op: ["key_switch"] (relin / rotate /
     conjugate, incl. hoisted batches), ["mul"], ["rescale"], ["encode"],

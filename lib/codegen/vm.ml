@@ -29,6 +29,16 @@ type t = {
   (* Wavefront schedule, computed on the first [run_parallel]; sequential
      runs never pay the analysis. *)
   mutable sched : Sched.t option;
+  (* Sequential plan, computed on the first [step]: every execution of
+     one prepared VM shares it. *)
+  mutable plan : seq_plan option;
+}
+
+and seq_plan = {
+  to_free : int list array;  (** values dead once node [i] has run *)
+  cost_before : float array;
+      (** {!Sched.node_cost} units of nodes [0..i-1], summed in program
+          order so that entry [num_nodes] is {!Sched.func_cost} exactly *)
 }
 
 let phase_of_origin origin =
@@ -52,6 +62,7 @@ let prepare ?(cache_plaintexts = false) ~keys ~bootstrap func =
     pt_cache = (if cache_plaintexts then Some (Hashtbl.create 256) else None);
     pt_lock = Mutex.create ();
     sched = None;
+    plan = None;
   }
 
 (* Mirrors Ace_verify.Verifier.enabled — the verifier library sits above
@@ -74,6 +85,41 @@ let schedule t =
     if Lazy.force runtime_checks then Sched.check t.func s;
     t.sched <- Some s;
     s
+
+(* Release each value after its last use: compiled functions hold tens of
+   thousands of ciphertexts and plaintexts, far more than ever live at
+   once (the generated C frees them the same way). A rotation batch is
+   kept alive past the last use of every view extracted from it —
+   releasing the batch frees the records the views alias, so its lifetime
+   is the union of its own and its views'. [max_int] marks never-released
+   (returns, unused values); it absorbs the extension. The extended last
+   use of a batch is a node that does not name it as an argument, so
+   releases key off a per-node list rather than the releasing node's
+   args. *)
+let seq_plan t =
+  match t.plan with
+  | Some p -> p
+  | None ->
+    let f = t.func in
+    let num_nodes = Irfunc.num_nodes f in
+    let last_use = Array.make num_nodes max_int in
+    Irfunc.iter f (fun n -> Array.iter (fun a -> last_use.(a) <- n.Irfunc.id) n.Irfunc.args);
+    List.iter (fun r -> last_use.(r) <- max_int) (Irfunc.returns f);
+    Irfunc.iter f (fun n ->
+        match n.Irfunc.op with
+        | Op.C_batch_get _ ->
+          let b = n.Irfunc.args.(0) in
+          if last_use.(n.Irfunc.id) > last_use.(b) then last_use.(b) <- last_use.(n.Irfunc.id)
+        | _ -> ());
+    let to_free = Array.make num_nodes [] in
+    Array.iteri (fun v u -> if u <> max_int then to_free.(u) <- v :: to_free.(u)) last_use;
+    let cost_before = Array.make (num_nodes + 1) 0.0 in
+    for i = 0 to num_nodes - 1 do
+      cost_before.(i + 1) <- cost_before.(i) +. Sched.node_cost (Irfunc.node f i)
+    done;
+    let p = { to_free; cost_before } in
+    t.plan <- Some p;
+    p
 
 type value =
   | V_ct of Ciphertext.ct
@@ -280,64 +326,108 @@ let collect_returns f values =
       | _ -> invalid_arg "Vm.run: non-ciphertext return")
     (Irfunc.returns f)
 
-let run_observed ?(tag = []) ~observe t inputs =
+(* A paused sequential execution: the program-order cursor plus the value
+   table. Everything the loop needs between slices lives here, so several
+   executions of one prepared VM can be interleaved node by node. *)
+type exec = {
+  vm : t;
+  tag : (string * string) list;
+  observe : Irfunc.node -> Ciphertext.ct -> unit;
+  inputs : Ciphertext.ct array;
+  values : value array;
+  mutable next : int;  (** id of the next node to execute *)
+  mutable finished : bool;  (** outputs returned, or aborted *)
+  (* the open per-NN-operator group span, "" when none is open *)
+  mutable cur_origin : string;
+  mutable cur_start : float;
+}
+
+let start_observed ?(tag = []) ~observe t inputs =
+  {
+    vm = t;
+    tag;
+    observe;
+    inputs = Array.of_list inputs;
+    values = Array.make (Irfunc.num_nodes t.func) V_none;
+    next = 0;
+    finished = false;
+    cur_origin = "";
+    cur_start = 0.0;
+  }
+
+let start ?tag t inputs = start_observed ?tag ~observe:(fun _ _ -> ()) t inputs
+
+(* Per-NN-operator trace grouping: consecutive nodes sharing an origin
+   (one conv, one relu block...) become a single enclosing span, so the
+   Chrome view nests per-FHE-op spans (from [Cost.timed]) under the NN
+   operator that issued them. The group is closed at every slice end, so
+   a group span never covers another execution's nodes. Pure bookkeeping
+   unless tracing is on. *)
+let close_group e now =
+  if e.cur_origin <> "" then
+    Telemetry.emit_span ~cat:"nn" ~name:("nn." ^ e.cur_origin) ~t0:e.cur_start
+      ~dur:(now -. e.cur_start) ();
+  e.cur_origin <- ""
+
+let step e ~until =
+  if e.finished then invalid_arg "Vm.step: the execution already finished";
+  let t = e.vm in
   let f = t.func in
-  let inputs = Array.of_list inputs in
-  let values = Array.make (Irfunc.num_nodes f) V_none in
-  (* Release each value after its last use: compiled functions hold tens of
-     thousands of ciphertexts and plaintexts, far more than ever live at
-     once (the generated C frees them the same way). A rotation batch is
-     kept alive past the last use of every view extracted from it —
-     releasing the batch frees the records the views alias, so its
-     lifetime is the union of its own and its views'. [max_int] marks
-     never-released (returns, unused values); it absorbs the extension. *)
-  let last_use = Array.make (Irfunc.num_nodes f) max_int in
-  Irfunc.iter f (fun n ->
-      Array.iter (fun a -> last_use.(a) <- n.Irfunc.id) n.Irfunc.args);
-  List.iter (fun r -> last_use.(r) <- max_int) (Irfunc.returns f);
-  Irfunc.iter f (fun n ->
-      match n.Irfunc.op with
-      | Op.C_batch_get _ ->
-        let b = n.Irfunc.args.(0) in
-        if last_use.(n.Irfunc.id) > last_use.(b) then
-          last_use.(b) <- last_use.(n.Irfunc.id)
-      | _ -> ());
-  (* The extended last use of a batch is a node that does not name it as
-     an argument, so releases key off a per-node list rather than the
-     releasing node's args. *)
-  let to_free = Array.make (Irfunc.num_nodes f) [] in
-  Array.iteri
-    (fun v u -> if u <> max_int then to_free.(u) <- v :: to_free.(u))
-    last_use;
-  (* Per-NN-operator trace grouping: consecutive nodes sharing an origin
-     (one conv, one relu block...) become a single enclosing span, so the
-     Chrome view nests per-FHE-op spans (from [Cost.timed]) under the NN
-     operator that issued them. Pure bookkeeping unless tracing is on. *)
-  let cur_origin = ref "" in
-  let cur_start = ref 0.0 in
-  let flush_origin now =
-    if !cur_origin <> "" then
-      Telemetry.emit_span ~cat:"nn" ~name:("nn." ^ !cur_origin) ~t0:!cur_start
-        ~dur:(now -. !cur_start) ();
-    cur_origin := ""
-  in
-  Irfunc.iter f (fun n ->
-      if Telemetry.tracing () && n.Irfunc.origin <> !cur_origin then begin
+  let num_nodes = Irfunc.num_nodes f in
+  let plan = seq_plan t in
+  let rec go () =
+    if e.next = num_nodes then begin
+      close_group e (Unix.gettimeofday ());
+      e.finished <- true;
+      Some (collect_returns f e.values)
+    end
+    else begin
+      let n = Irfunc.node f e.next in
+      if Telemetry.tracing () && n.Irfunc.origin <> e.cur_origin then begin
         let now = Unix.gettimeofday () in
-        flush_origin now;
-        cur_origin := n.Irfunc.origin;
-        cur_start := now
+        close_group e now;
+        e.cur_origin <- n.Irfunc.origin;
+        e.cur_start <- now
       end;
-      let result = exec_timed ~tag t values inputs n in
-      values.(n.Irfunc.id) <- result;
-      (match result with V_ct c -> observe n c | _ -> ());
+      let result = exec_timed ~tag:e.tag t e.values e.inputs n in
+      e.values.(n.Irfunc.id) <- result;
+      (match result with V_ct c -> e.observe n c | _ -> ());
       List.iter
         (fun a ->
-          release_value t a values.(a);
-          values.(a) <- V_none)
-        to_free.(n.Irfunc.id));
-  flush_origin (Unix.gettimeofday ());
-  collect_returns f values
+          release_value t a e.values.(a);
+          e.values.(a) <- V_none)
+        plan.to_free.(n.Irfunc.id);
+      e.next <- e.next + 1;
+      if e.next < num_nodes && Unix.gettimeofday () >= until then begin
+        close_group e (Unix.gettimeofday ());
+        None
+      end
+      else go ()
+    end
+  in
+  go ()
+
+let remaining e =
+  if e.finished then 0.0
+  else
+    let c = (seq_plan e.vm).cost_before in
+    c.(Array.length c - 1) -. c.(e.next)
+
+let abort e =
+  if not e.finished then begin
+    e.finished <- true;
+    close_group e (Unix.gettimeofday ());
+    Array.iteri
+      (fun id v ->
+        release_value e.vm id v;
+        e.values.(id) <- V_none)
+      e.values
+  end
+
+let run_observed ?tag ~observe t inputs =
+  match step (start_observed ?tag ~observe t inputs) ~until:infinity with
+  | Some outputs -> outputs
+  | None -> assert false
 
 let run ?tag t inputs = run_observed ?tag ~observe:(fun _ _ -> ()) t inputs
 

@@ -32,15 +32,45 @@ val prepare :
 val run :
   ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> Ace_fhe.Ciphertext.ct list
 (** Execute on encrypted inputs (one per function parameter), one node at a
-    time in program order. [?tag] (default empty) is appended to every
-    per-node telemetry span's args — the request-attribution hook:
-    {!Ace_driver.Pipeline} passes the batch's request ids so a Chrome
-    trace can be filtered per request.
+    time in program order: {!start} plus one unbounded {!step}. [?tag]
+    (default empty) is appended to every per-node telemetry span's args —
+    the request-attribution hook: {!Ace_driver.Pipeline} passes the
+    batch's request ids so a Chrome trace can be filtered per request.
 
     Every executed node also feeds the cost-accountability metrics: a
     [calib.<category>] observation of measured-µs / {!Sched.node_cost}
     units (categories from {!Sched.node_category}; epsilon-weight
     bookkeeping ops are skipped). *)
+
+(** {1 Resumable sequential execution} *)
+
+type exec
+(** A paused sequential execution: a cursor over the program-order
+    schedule plus its value table. Executions of one prepared VM are
+    independent (they share only the plaintext cache), so a caller may
+    interleave several of them slice by slice; outputs are bit-identical
+    to {!run} in any interleaving. *)
+
+val start : ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> exec
+(** Begin an execution; no node runs yet. The inputs stay the caller's. *)
+
+val step : exec -> until:float -> Ace_fhe.Ciphertext.ct list option
+(** Run whole nodes until the wall clock ([Unix.gettimeofday]) passes
+    [until], releasing each node's dead values as {!run} does; [Some
+    outputs] once the last node has run. [until = neg_infinity] runs one
+    node, [infinity] runs to the end. The open [nn.<origin>] group span
+    is closed at every slice end.
+    @raise Invalid_argument on a finished or aborted execution. *)
+
+val remaining : exec -> float
+(** Predicted {!Sched.node_cost} units of the nodes not yet run (0.0 once
+    finished or aborted). *)
+
+val abort : exec -> unit
+(** Drop an unfinished execution: every live value goes back to the limb
+    pool through the same release path liveness uses. Cached plaintexts
+    and the caller's inputs stay untouched. No-op on a finished
+    execution, whose outputs belong to the caller. *)
 
 val run_parallel :
   ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> Ace_fhe.Ciphertext.ct list

@@ -432,23 +432,49 @@ let request_latency = lazy (Ace_telemetry.Telemetry.metric "request.latency")
 let request_count = lazy (Ace_telemetry.Telemetry.metric "request.count")
 let request_per_ct = lazy (Ace_telemetry.Telemetry.metric "request.per_ct")
 
-(* GC pressure per execution, as quick_stat deltas around the VM run. In a
-   pooled steady state gc.major_words sits near zero; a regression that
-   reintroduces per-inference slab churn shows up here long before it
-   shows up in latency tails. quick_stat reads domain-local counters and
-   never forces a collection, so the probe itself is free. *)
-let gc_minor_words = lazy (Ace_telemetry.Telemetry.metric "gc.minor_words")
-let gc_major_words = lazy (Ace_telemetry.Telemetry.metric "gc.major_words")
-let gc_minor_collections = lazy (Ace_telemetry.Telemetry.metric "gc.minor_collections")
-let gc_major_collections = lazy (Ace_telemetry.Telemetry.metric "gc.major_collections")
-let gc_compactions = lazy (Ace_telemetry.Telemetry.metric "gc.compactions")
+(* GC pressure per execution, as quick_stat deltas summed over the
+   execution's own slices (so interleaved executions never count each
+   other's allocation). In a pooled steady state gc.major_words sits near
+   zero; a regression that reintroduces per-inference slab churn shows up
+   here long before it shows up in latency tails. quick_stat reads
+   domain-local counters and never forces a collection, so the probe
+   itself is free. *)
+let gc_metrics =
+  lazy
+    (Array.map Ace_telemetry.Telemetry.metric
+       [|
+         "gc.minor_words"; "gc.major_words"; "gc.minor_collections"; "gc.major_collections";
+         "gc.compactions";
+       |])
+
+let gc_sample () =
+  let g = Gc.quick_stat () in
+  [|
+    g.Gc.minor_words;
+    g.Gc.major_words;
+    float_of_int g.Gc.minor_collections;
+    float_of_int g.Gc.major_collections;
+    float_of_int g.Gc.compactions;
+  |]
 
 let default_request_ids k = Array.init k (fun i -> "r" ^ string_of_int i)
 
-(* A missing Galois key at execution time means the compile-time key plan
-   and the runtime key set disagree — a planning bug or keys generated
-   from a different plan — so the error names all three sides. *)
-let run_vm ?request_ids ~scheduler c vm ct =
+type vm_state =
+  | Sliced of Ace_codegen.Vm.exec
+  | Unsliced of { vm : Ace_codegen.Vm.t; input : Fhe.Ciphertext.ct; units : float Lazy.t }
+      (** the wavefront executor runs whole, in the first step *)
+
+type exec = {
+  x_compiled : compiled;
+  x_k : int;
+  x_tag : (string * string) list;
+  x_state : vm_state;
+  x_started : float;
+  mutable x_busy : float;  (** wall time inside this execution's own slices *)
+  x_gc : float array;  (** summed per-slice deltas, in [gc_metrics] order *)
+}
+
+let start_vm ?request_ids ~scheduler c vm ct =
   let k = requests_per_ct c in
   let ids =
     match request_ids with
@@ -463,49 +489,81 @@ let run_vm ?request_ids ~scheduler c vm ct =
   let tag =
     [ ("request_ids", String.concat "," (Array.to_list ids)); ("k", string_of_int k) ]
   in
-  let exec vm cts =
+  let state =
     match scheduler with
-    | Seq -> Ace_codegen.Vm.run ~tag vm cts
-    | Wavefront -> Ace_codegen.Vm.run_parallel ~tag vm cts
+    | Seq -> Sliced (Ace_codegen.Vm.start ~tag vm [ ct ])
+    | Wavefront ->
+      Unsliced { vm; input = ct; units = lazy (Ace_codegen.Sched.func_cost c.ckks) }
   in
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  match exec vm [ ct ] with
-  | [ out ] ->
-    let dur = Unix.gettimeofday () -. t0 in
-    let g1 = Gc.quick_stat () in
-    let obs m v = Ace_telemetry.Telemetry.observe (Lazy.force m) v in
-    obs gc_minor_words (g1.Gc.minor_words -. g0.Gc.minor_words);
-    obs gc_major_words (g1.Gc.major_words -. g0.Gc.major_words);
-    obs gc_minor_collections
-      (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections));
-    obs gc_major_collections
-      (float_of_int (g1.Gc.major_collections - g0.Gc.major_collections));
-    obs gc_compactions (float_of_int (g1.Gc.compactions - g0.Gc.compactions));
-    let amortized = dur /. float_of_int k in
-    for _ = 1 to k do
-      Ace_telemetry.Telemetry.incr (Lazy.force request_count);
-      Ace_telemetry.Telemetry.observe (Lazy.force request_latency) amortized
-    done;
-    Ace_telemetry.Telemetry.observe (Lazy.force request_per_ct) (float_of_int k);
-    Ace_telemetry.Telemetry.emit_span ~cat:"request"
-      ~args:
-        (tag
-        @ [
-            ("requests_per_ct", string_of_int k);
-            ("amortized_us", Printf.sprintf "%.1f" (amortized *. 1e6));
-          ])
-      ~name:"request.batch" ~t0 ~dur ();
-    out
+  {
+    x_compiled = c;
+    x_k = k;
+    x_tag = tag;
+    x_state = state;
+    x_started = Unix.gettimeofday ();
+    x_busy = 0.0;
+    x_gc = Array.make (Array.length (Lazy.force gc_metrics)) 0.0;
+  }
+
+let finish x out =
+  let module T = Ace_telemetry.Telemetry in
+  Array.iteri (fun i m -> T.observe m x.x_gc.(i)) (Lazy.force gc_metrics);
+  let k = x.x_k in
+  let amortized = x.x_busy /. float_of_int k in
+  for _ = 1 to k do
+    T.incr (Lazy.force request_count);
+    T.observe (Lazy.force request_latency) amortized
+  done;
+  T.observe (Lazy.force request_per_ct) (float_of_int k);
+  T.emit_span ~cat:"request"
+    ~args:
+      (x.x_tag
+      @ [
+          ("requests_per_ct", string_of_int k);
+          ("busy_us", Printf.sprintf "%.1f" (x.x_busy *. 1e6));
+          ("amortized_us", Printf.sprintf "%.1f" (amortized *. 1e6));
+        ])
+    ~name:"request.batch" ~t0:x.x_started
+    ~dur:(Unix.gettimeofday () -. x.x_started)
+    ();
+  match out with
+  | [ ct ] -> ct
   | _ -> invalid_arg "Pipeline.run_encrypted: expected a single output"
-  | exception Fhe.Eval.Missing_rotation_key { step; available } ->
-    let show l = String.concat "; " (List.map string_of_int l) in
-    failwith
-      (Printf.sprintf
-         "Pipeline: keygen-plan mismatch: execution needs rotation step %d, keys exist for \
-          steps [%s], plan requested [%s]"
-         step (show available)
-         (show c.key_plan.Keygen_plan.rotation_steps))
+
+(* A missing Galois key at execution time means the compile-time key plan
+   and the runtime key set disagree — a planning bug or keys generated
+   from a different plan — so the error names all three sides. *)
+let step x ~until =
+  let t0 = Unix.gettimeofday () in
+  let g0 = gc_sample () in
+  let out =
+    try
+      match x.x_state with
+      | Sliced e -> Ace_codegen.Vm.step e ~until
+      | Unsliced u -> Some (Ace_codegen.Vm.run_parallel ~tag:x.x_tag u.vm [ u.input ])
+    with Fhe.Eval.Missing_rotation_key { step; available } ->
+      let show l = String.concat "; " (List.map string_of_int l) in
+      failwith
+        (Printf.sprintf
+           "Pipeline: keygen-plan mismatch: execution needs rotation step %d, keys exist for \
+            steps [%s], plan requested [%s]"
+           step (show available)
+           (show x.x_compiled.key_plan.Keygen_plan.rotation_steps))
+  in
+  x.x_busy <- x.x_busy +. (Unix.gettimeofday () -. t0);
+  let g1 = gc_sample () in
+  Array.iteri (fun i v -> x.x_gc.(i) <- x.x_gc.(i) +. (v -. g0.(i))) g1;
+  Option.map (finish x) out
+
+let remaining x =
+  match x.x_state with
+  | Sliced e -> Ace_codegen.Vm.remaining e
+  | Unsliced u -> Lazy.force u.units
+
+let abort x = match x.x_state with Sliced e -> Ace_codegen.Vm.abort e | Unsliced _ -> ()
+
+let run_to_end x =
+  match step x ~until:infinity with Some ct -> ct | None -> assert false
 
 let make_bootstrap keys ~seed ~node ~target_level x =
   Fhe.Bootstrap.refresh_impl keys ~seed ~ordinal:node ~target_level x
@@ -513,7 +571,7 @@ let make_bootstrap keys ~seed ~node ~target_level x =
 let run_encrypted ?scheduler ?request_ids c keys ~seed ct =
   let scheduler = match scheduler with Some s -> s | None -> default_scheduler () in
   let vm = Ace_codegen.Vm.prepare ~keys ~bootstrap:(make_bootstrap keys ~seed) c.ckks in
-  run_vm ?request_ids ~scheduler c vm ct
+  run_to_end (start_vm ?request_ids ~scheduler c vm ct)
 
 (* Under complex packing the decrypted slots hold m*(a + i*b); divide by
    the multiplier the cplx pass recorded for this output. *)
@@ -579,8 +637,10 @@ let make_runtime ?telemetry ?scheduler c keys ~seed =
 let runtime_scheduler rt = rt.rt_scheduler
 let runtime_vm rt = rt.rt_vm
 
-let run_encrypted_rt ?request_ids rt ct =
-  run_vm ?request_ids ~scheduler:rt.rt_scheduler rt.rt_compiled rt.rt_vm ct
+let start_rt ?request_ids rt ct =
+  start_vm ?request_ids ~scheduler:rt.rt_scheduler rt.rt_compiled rt.rt_vm ct
+
+let run_encrypted_rt ?request_ids rt ct = run_to_end (start_rt ?request_ids rt ct)
 
 let infer_encrypted_rt rt ~seed image =
   decrypt_output rt.rt_compiled rt.rt_keys

@@ -236,7 +236,36 @@ val runtime_vm : runtime -> Ace_codegen.Vm.t
 val run_encrypted_rt :
   ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
 (** Serving-loop execution with the same per-request attribution as
-    {!run_encrypted}. *)
+    {!run_encrypted}: {!start_rt} plus one unbounded {!step}. *)
+
+(** {1 Sliced execution} *)
+
+type exec
+(** One execution in progress on a resident runtime, resumable slice by
+    slice; it keeps the runtime it started with. *)
+
+val start_rt : ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> exec
+(** Begin an execution ({!Ace_codegen.Vm.start}); no node runs yet.
+    [?request_ids] as for {!run_encrypted}. *)
+
+val step : exec -> until:float -> Ace_fhe.Ciphertext.ct option
+(** Run one slice: whole nodes until the wall clock passes [until]
+    ({!Ace_codegen.Vm.step}); [Some result] once the last node has run.
+    Under the [Wavefront] scheduler the first step runs the whole
+    execution. The [request.*] metrics and the [request.batch] span are
+    recorded on completion: [request.latency] is the execution's own busy
+    time (summed over its slices) divided by {!requests_per_ct}, and the
+    [gc.*] deltas are summed over its slices only, so interleaved
+    executions never count each other.
+    @raise Failure on a keygen-plan mismatch (a missing rotation key). *)
+
+val remaining : exec -> float
+(** Predicted {!Ace_codegen.Sched.node_cost} units left to run. *)
+
+val abort : exec -> unit
+(** Drop an unfinished execution and return its live buffers to the limb
+    pool ({!Ace_codegen.Vm.abort}); the input ciphertext stays the
+    caller's. *)
 
 val infer_encrypted_rt : runtime -> seed:int -> float array -> float array
 (** encrypt -> run -> decrypt through the resident VM. *)

@@ -8,10 +8,14 @@
     served result decrypts bit-identically to a local
     [Pipeline.infer_encrypted] run with the same seeds.
 
-    All I/O is blocking; one [t] is one socket and replies are read in
-    request order (the protocol is strictly request/reply per
-    connection, though multiple requests may be pipelined before the
-    first reply is read). *)
+    All I/O is blocking; one [t] is one socket, and several requests may
+    be pipelined before the first reply is read. Match each [Result] to
+    its request by [request_id], not by position: the server finishes
+    cheaper executions first and may skip a queued request to coalesce
+    later ones. [Overloaded] and [Err] replies to an [Infer] go out at
+    admission, as soon as the server reads the request, so they can
+    arrive before the [Result]s of requests sent earlier; only an
+    execution failure's [Err] waits for the execution. *)
 
 type t
 
@@ -66,7 +70,7 @@ val submit :
     multiple requests in flight. *)
 
 val await : t -> (Wire.response, string) result
-(** Read the next reply frame. *)
+(** Read the next reply frame, whichever request it answers. *)
 
 val await_result : t -> (string * string, string) result
 (** Read the next reply, insisting on [Result]: [(request_id, ct blob)].

@@ -40,6 +40,17 @@ let m_coalesced = lazy (Telemetry.metric "serve.coalesced")
 let m_cache_hit = lazy (Telemetry.metric "serve.cache_hit")
 let m_cache_miss = lazy (Telemetry.metric "serve.cache_miss")
 let m_sessions = lazy (Telemetry.metric "serve.sessions")
+let m_queue_wait = lazy (Telemetry.metric "serve.queue_wait")
+let m_exec_wall = lazy (Telemetry.metric "serve.exec_wall")
+let m_slices = lazy (Telemetry.metric "serve.slices")
+let m_cancelled = lazy (Telemetry.metric "serve.cancelled")
+
+(* One slice of execution: long enough that the per-slice bookkeeping
+   (a select, a pick) is noise, short enough that a light request never
+   waits long behind a heavy one. It is wall-clock, not predicted units:
+   the measured µs per predicted unit spans 0.025 to 125 across node
+   categories. A node longer than a slice still runs whole. *)
+let slice_seconds = 0.005
 
 type model_state = {
   ms_name : string;
@@ -74,6 +85,17 @@ type job = {
   j_coalesce : bool;
   j_ct : Ace_fhe.Ciphertext.ct;
   j_units : float;
+  j_admitted : float;
+}
+
+(* An execution in progress. It holds the runtime (and context) it started
+   with, so a Reload never changes a running execution. *)
+type running = {
+  r_group : job list;
+  r_exec : Pipeline.exec;
+  r_context : Ace_fhe.Context.t;
+  r_started : float;
+  mutable r_slices : int;
 }
 
 type t = {
@@ -84,6 +106,7 @@ type t = {
   mutable conns : conn list;
   queue : job Queue.t;
   mutable queued_units : float;
+  mutable running : running list;  (* in start order *)
   drain_flag : bool Atomic.t;
   mutable next_conn_id : int;
   (* counters for Get_stats *)
@@ -96,9 +119,6 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 (* Model loading and the artifact cache                                *)
-
-let exec_units (c : Pipeline.compiled) =
-  Ace_ir.Irfunc.fold c.Pipeline.ckks ~init:0.0 ~f:(fun acc n -> acc +. Sched.node_cost n)
 
 let cache_path cfg hash =
   match cfg.cache_dir with
@@ -180,7 +200,7 @@ let load_model t name spec =
     ms_hash = hash;
     ms_compiled = compiled;
     ms_from_cache = from_cache;
-    ms_exec_units = exec_units compiled;
+    ms_exec_units = Sched.func_cost compiled.Pipeline.ckks;
   }
 
 let model_info (ms : model_state) =
@@ -220,6 +240,7 @@ let create cfg =
       conns = [];
       queue = Queue.create ();
       queued_units = 0.0;
+      running = [];
       drain_flag = Atomic.make false;
       next_conn_id = 0;
       n_served = 0;
@@ -308,7 +329,7 @@ let handle_put_keys t conn ~tenant ~model ~oracle_seed ~keys_blob =
         {
           sess_keys = keys;
           sess_oracle_seed = oracle_seed;
-          sess_runtime = Pipeline.make_runtime c keys ~seed:oracle_seed;
+          sess_runtime = Pipeline.make_runtime ~scheduler:Pipeline.Seq c keys ~seed:oracle_seed;
         }
       in
       Hashtbl.replace t.sessions (session_key tenant model) sess;
@@ -363,6 +384,7 @@ let handle_infer t conn ~tenant ~model ~request_id ~region ~coalesce ~ct_blob =
                 j_coalesce = coalesce;
                 j_ct = ct;
                 j_units = units;
+                j_admitted = Unix.gettimeofday ();
               }
               t.queue;
             t.queued_units <- t.queued_units +. units;
@@ -392,7 +414,8 @@ let handle_reload t conn ~model =
         match String.index_opt key '\x00' with
         | Some i when String.sub key (i + 1) (String.length key - i - 1) = model ->
           sess.sess_runtime <-
-            Pipeline.make_runtime compiled sess.sess_keys ~seed:sess.sess_oracle_seed
+            Pipeline.make_runtime ~scheduler:Pipeline.Seq compiled sess.sess_keys
+              ~seed:sess.sess_oracle_seed
         | _ -> ())
       t.sessions;
     send conn (Wire.Reloaded { model; from_cache = false })
@@ -476,75 +499,145 @@ let fail_job _t job message =
   if job.j_conn.c_alive then
     send job.j_conn (Wire.Err { code = Wire.Internal; message })
 
-(* Pull every queued job that can share the head job's execution: same
-   session, same model, coalescing allowed, real packing, and a batch
-   region nobody in the group occupies yet. Clients opting in pack their
-   image into their own region (zeros elsewhere), so merging is a plain
-   homomorphic add and the one execution serves the whole group. *)
-let take_group t =
-  let head = Queue.pop t.queue in
-  t.queued_units <- t.queued_units -. head.j_units;
-  let c = head.j_model.ms_compiled in
-  if (not head.j_coalesce) || c.Pipeline.batch < 2 || c.cplx <> None then [ head ]
-  else begin
-    let taken = ref [ head ] in
-    let occupied = Array.make c.batch false in
-    occupied.(head.j_region) <- true;
-    let keep = Queue.create () in
-    Queue.iter
-      (fun j ->
-        if
-          List.length !taken < c.Pipeline.batch
-          && j.j_coalesce
-          && j.j_model.ms_name = head.j_model.ms_name
-          && j.j_tenant = head.j_tenant
-          && j.j_conn.c_alive
-          && not occupied.(j.j_region)
-        then begin
-          occupied.(j.j_region) <- true;
-          t.queued_units <- t.queued_units -. j.j_units;
-          taken := j :: !taken
-        end
-        else Queue.add j keep)
-      t.queue;
-    Queue.clear t.queue;
-    Queue.transfer keep t.queue;
-    List.rev !taken
-  end
+(* Shortest remaining work first (see server.mli): strict comparison, so
+   an equal-cost queued job never preempts the execution ahead of it. *)
+type next = Start of int | Slice of int | Idle
 
-let dispatch_one t =
-  let group = take_group t in
+(* Index and value of the first minimum. *)
+let first_min xs =
+  let _, best =
+    List.fold_left
+      (fun (i, best) x ->
+        let best =
+          match best with Some (_, b) when b <= x -> best | _ -> Some (i, x)
+        in
+        (i + 1, best))
+      (0, None) xs
+  in
+  best
+
+let pick ~queued ~running =
+  match (first_min queued, first_min running) with
+  | Some (i, _), None -> Start i
+  | Some (i, q), Some (_, r) when q < r -> Start i
+  | _, Some (j, _) -> Slice j
+  | None, None -> Idle
+
+(* Pull the job at queue index [head_idx] plus every queued job that can
+   share its execution: same session, same model, coalescing allowed,
+   real packing, and a batch region nobody in the group occupies yet.
+   Clients opting in pack their image into their own region (zeros
+   elsewhere), so merging is a plain homomorphic add and the one
+   execution serves the whole group. *)
+let take_group t head_idx =
+  let jobs = List.of_seq (Queue.to_seq t.queue) in
+  let head = List.nth jobs head_idx in
+  let c = head.j_model.ms_compiled in
+  let coalescing = head.j_coalesce && c.Pipeline.batch >= 2 && c.cplx = None in
+  let occupied = Array.make c.batch false in
+  occupied.(head.j_region) <- true;
+  let taken = ref [ head ] in
+  Queue.clear t.queue;
+  List.iteri
+    (fun i j ->
+      if i = head_idx then ()
+      else if
+        coalescing
+        && List.length !taken < c.Pipeline.batch
+        && j.j_coalesce
+        && j.j_model.ms_name = head.j_model.ms_name
+        && j.j_tenant = head.j_tenant
+        && j.j_conn.c_alive
+        && not occupied.(j.j_region)
+      then begin
+        occupied.(j.j_region) <- true;
+        taken := j :: !taken
+      end
+      else Queue.add j t.queue)
+    jobs;
+  let group = List.rev !taken in
+  List.iter (fun j -> t.queued_units <- t.queued_units -. j.j_units) group;
+  group
+
+let all_gone group = List.for_all (fun j -> not j.j_conn.c_alive) group
+
+let start_group t group =
   let head = List.hd group in
   let ms = head.j_model in
   let c = ms.ms_compiled in
-  match Hashtbl.find_opt t.sessions (session_key head.j_tenant ms.ms_name) with
-  | None -> List.iter (fun j -> fail_job t j "session vanished before dispatch") group
-  | Some sess -> (
-    let k = Pipeline.requests_per_ct c in
-    (* Region r's id: the request that owns region r, or "idle:<r>" for
-       unoccupied regions (their slots compute on replicated/zero data). *)
-    let ids = Array.init k (fun r -> "idle:" ^ string_of_int r) in
-    List.iter
-      (fun j ->
-        let slot = if c.cplx <> None then 2 * j.j_region else j.j_region in
-        ids.(slot) <- j.j_request_id)
-      group;
-    let merged =
-      match group with
-      | [ only ] -> only.j_ct
-      | first :: rest ->
-        t.n_coalesced <- t.n_coalesced + List.length rest;
-        List.iter (fun _ -> Telemetry.incr (Lazy.force m_coalesced)) rest;
-        List.fold_left (fun acc j -> Ace_fhe.Eval.add acc j.j_ct) first.j_ct rest
-      | [] -> assert false
-    in
-    match Pipeline.run_encrypted_rt ~request_ids:ids sess.sess_runtime merged with
-    | result ->
-      let blob = Fhe_wire.encode_ct c.Pipeline.context result in
-      List.iter (fun j -> finish_job t j blob) group
-    | exception exn ->
-      let msg = Printexc.to_string exn in
-      List.iter (fun j -> fail_job t j msg) group)
+  if all_gone group then Telemetry.incr (Lazy.force m_cancelled)
+  else
+    match Hashtbl.find_opt t.sessions (session_key head.j_tenant ms.ms_name) with
+    | None -> List.iter (fun j -> fail_job t j "session vanished before dispatch") group
+    | Some sess ->
+      let k = Pipeline.requests_per_ct c in
+      (* Region r's id: the request that owns region r, or "idle:<r>" for
+         unoccupied regions (their slots compute on replicated/zero data). *)
+      let ids = Array.init k (fun r -> "idle:" ^ string_of_int r) in
+      List.iter
+        (fun j ->
+          let slot = if c.cplx <> None then 2 * j.j_region else j.j_region in
+          ids.(slot) <- j.j_request_id)
+        group;
+      let merged =
+        match group with
+        | [ only ] -> only.j_ct
+        | first :: rest ->
+          t.n_coalesced <- t.n_coalesced + List.length rest;
+          List.iter (fun _ -> Telemetry.incr (Lazy.force m_coalesced)) rest;
+          List.fold_left (fun acc j -> Ace_fhe.Eval.add acc j.j_ct) first.j_ct rest
+        | [] -> assert false
+      in
+      let now = Unix.gettimeofday () in
+      List.iter
+        (fun j -> Telemetry.observe (Lazy.force m_queue_wait) (now -. j.j_admitted))
+        group;
+      let r_exec = Pipeline.start_rt ~request_ids:ids sess.sess_runtime merged in
+      let r = { r_group = group; r_exec; r_context = c.context; r_started = now; r_slices = 0 } in
+      t.running <- t.running @ [ r ]
+
+let remove_running t r = t.running <- List.filter (fun x -> x != r) t.running
+
+let run_slice t r =
+  r.r_slices <- r.r_slices + 1;
+  match Pipeline.step r.r_exec ~until:(Unix.gettimeofday () +. slice_seconds) with
+  | None -> ()
+  | Some result ->
+    remove_running t r;
+    Telemetry.observe (Lazy.force m_exec_wall) (Unix.gettimeofday () -. r.r_started);
+    Telemetry.observe (Lazy.force m_slices) (float_of_int r.r_slices);
+    let blob = Fhe_wire.encode_ct r.r_context result in
+    List.iter (fun j -> finish_job t j blob) r.r_group
+  | exception exn ->
+    remove_running t r;
+    Pipeline.abort r.r_exec;
+    let msg = Printexc.to_string exn in
+    List.iter (fun j -> fail_job t j msg) r.r_group
+
+(* An execution whose every client has gone is dropped between slices;
+   its buffers go back to the pool. *)
+let cancel_abandoned t =
+  List.iter
+    (fun r ->
+      if all_gone r.r_group then begin
+        remove_running t r;
+        Pipeline.abort r.r_exec;
+        Telemetry.incr (Lazy.force m_cancelled)
+      end)
+    t.running
+
+(* Start every group the pick rule admits, then run one slice. *)
+let rec schedule t =
+  let queued = List.of_seq (Seq.map (fun j -> j.j_model.ms_exec_units) (Queue.to_seq t.queue)) in
+  let running = List.map (fun r -> Pipeline.remaining r.r_exec) t.running in
+  match pick ~queued ~running with
+  | Idle -> ()
+  | Start i ->
+    start_group t (take_group t i);
+    Telemetry.observe (Lazy.force m_queue_depth) (float_of_int (Queue.length t.queue));
+    Telemetry.observe (Lazy.force m_queued_units) t.queued_units;
+    schedule t
+  | Slice j -> run_slice t (List.nth t.running j)
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop                                                      *)
@@ -552,12 +645,13 @@ let dispatch_one t =
 let done_draining t =
   Atomic.get t.drain_flag
   && Queue.is_empty t.queue
+  && t.running = []
   && List.for_all (fun c -> Byte_queue.length c.c_out = 0) t.conns
 
 let run t =
-  let running = ref true in
-  while !running do
-    if done_draining t then running := false
+  let serving = ref true in
+  while !serving do
+    if done_draining t then serving := false
     else begin
       let rds = t.listen_fd :: List.map (fun c -> c.c_fd) t.conns in
       let wrs =
@@ -565,7 +659,8 @@ let run t =
           (fun c -> if Byte_queue.length c.c_out > 0 then Some c.c_fd else None)
           t.conns
       in
-      let timeout = if Queue.is_empty t.queue then 0.25 else 0.0 in
+      let idle = Queue.is_empty t.queue && t.running = [] in
+      let timeout = if idle then 0.25 else 0.0 in
       let readable, writable, _ =
         try Unix.select rds wrs [] timeout
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -577,11 +672,8 @@ let run t =
       List.iter
         (fun conn -> if List.memq conn.c_fd writable then flush_conn t conn)
         t.conns;
-      if not (Queue.is_empty t.queue) then begin
-        dispatch_one t;
-        Telemetry.observe (Lazy.force m_queue_depth) (float_of_int (Queue.length t.queue));
-        Telemetry.observe (Lazy.force m_queued_units) t.queued_units
-      end;
+      cancel_abandoned t;
+      schedule t;
       (* Opportunistic flush so results go out this iteration, not after
          the next select wake-up. *)
       List.iter (fun conn -> flush_conn t conn) t.conns

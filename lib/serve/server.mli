@@ -4,11 +4,23 @@
     One single-threaded [select] loop owns everything: it accepts
     connections, parses {!Wire} frames from per-connection input buffers,
     answers control messages inline, and pushes inference work through a
-    bounded admission queue. Homomorphic executions run synchronously
-    between loop iterations — all pending input is drained into the queue
-    first, so a burst of pipelined requests hits admission control at
-    once and the overflow gets typed [Overloaded] replies instead of
-    waiting on a busy evaluator.
+    bounded admission queue. All pending input is drained into the queue
+    before any work runs, so a burst of pipelined requests hits admission
+    control at once and the overflow gets typed [Overloaded] replies
+    straight away.
+
+    {b Sliced execution}: homomorphic executions run on the loop itself,
+    in 5 ms wall-clock slices ({!Ace_driver.Pipeline.step}, whole nodes
+    only), with a [select] between slices. Several executions may be in
+    progress at once; {!pick} chooses, before each slice, between
+    starting a queued group and continuing a running execution, by least
+    predicted work left. A light request therefore waits for the slice
+    in progress (which ends at the next node boundary) rather than for a
+    heavy execution's whole run.
+    Runtimes always use the sequential executor ([ACE_SCHED] does not
+    apply to the daemon). An execution whose clients have all
+    disconnected is dropped between slices and its buffers go back to
+    the pool.
 
     {b Models} are compiled once at startup (or fetched from the on-disk
     artifact cache, skipping the compiler entirely — see
@@ -22,17 +34,26 @@
 
     {b Admission} bounds both the request count and the predicted work
     (sum of {!Ace_codegen.Sched.node_cost} over the schedule, amortized
-    per request) sitting in the queue. Compatible requests — same
-    (tenant, model), [coalesce] set, distinct batch regions, real packing
-    — are merged onto one ciphertext's batch axis with a single
-    homomorphic execution serving all of them.
+    per request) sitting in the queue; work that has started no longer
+    counts. Compatible requests — same (tenant, model), [coalesce] set,
+    distinct batch regions, real packing — are merged onto one
+    ciphertext's batch axis with a single homomorphic execution serving
+    all of them.
 
     {b Lifecycle}: [Reload] recompiles a model and rebuilds the affected
-    session runtimes without dropping uploaded keys; [Drain] (or
+    session runtimes without dropping uploaded keys (an execution already
+    running finishes on the runtime it started with); [Drain] (or
     {!request_drain}, e.g. from a SIGTERM handler) stops admission,
-    finishes the queue, flushes replies and exits the loop. A client
-    vanishing mid-request only drops that connection — the daemon and
-    every session survive. *)
+    finishes the queue and every running execution, flushes replies and
+    exits the loop. A client vanishing mid-request only drops that
+    connection — the daemon and every session survive.
+
+    {b Metrics} (beside the pipeline's [request.*]): [serve.queue_wait]
+    (admission to start, per request), [serve.exec_wall] (start to
+    finish, per execution, including slices given to other executions),
+    [serve.slices] (slices per execution), [serve.cancelled], and the
+    admission family [serve.admitted]/[serve.rejected]/[serve.coalesced]/
+    [serve.queue_depth]/[serve.queued_units]. *)
 
 type config = {
   socket_path : string;
@@ -69,3 +90,21 @@ val request_drain : t -> unit
 
 val stats : t -> Wire.stats
 (** Current counters (what [Get_stats] reports). *)
+
+(** {1 The slice-pick rule} *)
+
+type next =
+  | Start of int  (** start the group headed by this queued job *)
+  | Slice of int  (** give one slice to this running execution *)
+  | Idle
+
+val pick : queued:float list -> running:float list -> next
+(** [queued]: each queued job's predicted execution units, in admission
+    order; [running]: each running execution's predicted units left, in
+    start order. A queued job starts only if it is strictly cheaper than
+    the smallest remainder among running executions (or nothing runs);
+    the cheapest starts first, admission order breaking ties. Otherwise
+    the running execution with the least work left gets the slice, the
+    earliest-started on a tie — so equal-cost streams stay FIFO and are
+    never preempted. Pure; the loop applies it until it yields a slice
+    or [Idle]. *)

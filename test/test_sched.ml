@@ -178,6 +178,103 @@ let test_pt_cache_identity () =
       check_ct_equal (what ^ " second (cache hit)") reference second)
     [ Pipeline.Seq; Pipeline.Wavefront ]
 
+(* ---- resumable execution: Vm.start / Vm.step / Vm.abort ---- *)
+
+(* Two executions of ONE prepared runtime (sharing its plaintext cache),
+   stepped alternately one node at a time, must each equal a plain
+   Vm.run on a separate runtime, bit for bit. *)
+let check_interleaved_identity what c =
+  let keys = Pipeline.make_keys c ~seed:45 in
+  let rng = Rng.create 17 in
+  let n_in =
+    let l = c.Pipeline.input_layout in
+    l.Ace_vector.Layout.channels * l.height * l.width
+  in
+  let cts =
+    List.init 2 (fun i ->
+        let x = Array.init n_in (fun _ -> Rng.float rng 1.0 -. 0.5) in
+        Pipeline.encrypt_input c keys ~seed:(7 + i) x)
+  in
+  let vm () =
+    Pipeline.runtime_vm (Pipeline.make_runtime ~scheduler:Pipeline.Seq c keys ~seed:8)
+  in
+  let reference = List.map (fun ct -> List.hd (Vm.run (vm ()) [ ct ])) cts in
+  let shared = vm () in
+  let execs = List.map (fun ct -> Vm.start shared [ ct ]) cts in
+  (* Exactly the whole-function price: the serve loop's pick rule compares
+     the two strictly, so an equal-cost queued request must not read as
+     cheaper than a fresh execution. *)
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (what ^ ": fresh remaining = func_cost") true
+        (Vm.remaining e = Sched.func_cost c.Pipeline.ckks))
+    execs;
+  let outs = Array.make 2 None and steps = Array.make 2 0 in
+  while Array.exists Option.is_none outs do
+    List.iteri
+      (fun i e ->
+        if outs.(i) = None then begin
+          steps.(i) <- steps.(i) + 1;
+          outs.(i) <- Vm.step e ~until:neg_infinity
+        end)
+      execs
+  done;
+  Array.iteri
+    (fun i n ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: execution %d took one node per step" what i)
+        (Irfunc.num_nodes c.Pipeline.ckks) n)
+    steps;
+  List.iteri
+    (fun i want ->
+      match outs.(i) with
+      | Some [ got ] ->
+        check_ct_equal (Printf.sprintf "%s: interleaved execution %d" what i) want got
+      | _ -> Alcotest.fail "expected one output")
+    reference
+
+let test_interleaved_gemv () =
+  check_interleaved_identity "gemv" (Pipeline.compile Pipeline.ace (Import.import (gemv_graph ())))
+
+let test_interleaved_bootstrapped () =
+  let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
+  let c = Pipeline.compile ~context:ctx Pipeline.ace (Import.import (conv_relu_graph ())) in
+  Alcotest.(check bool) "model bootstraps" true (Lower_sihe.bootstrap_count c.Pipeline.ckks > 0);
+  check_interleaved_identity "bootstrapped" c
+
+(* An aborted execution returns every slab it took: on a warmed runtime
+   (weight plaintexts cached), starting, stepping part-way and aborting
+   leaves slab acquires = releases + drops. *)
+let test_abort_releases_slabs () =
+  let module Limb_pool = Ace_rns.Limb_pool in
+  let e0 = Limb_pool.enabled () in
+  Limb_pool.set_enabled true;
+  Fun.protect ~finally:(fun () -> Limb_pool.set_enabled e0) @@ fun () ->
+  let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
+  let c = Pipeline.compile ~context:ctx Pipeline.ace (Import.import (conv_relu_graph ())) in
+  let keys = Pipeline.make_keys c ~seed:45 in
+  let rt = Pipeline.make_runtime ~scheduler:Pipeline.Seq c keys ~seed:8 in
+  let x = Array.make 32 0.25 in
+  ignore (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x));
+  let ct = Pipeline.encrypt_input c keys ~seed:7 x in
+  let vm = Pipeline.runtime_vm rt in
+  Limb_pool.reset_stats ();
+  let e = Vm.start vm [ ct ] in
+  for _ = 1 to Irfunc.num_nodes c.Pipeline.ckks / 2 do
+    Alcotest.(check bool) "not finished half-way" true (Vm.step e ~until:neg_infinity = None)
+  done;
+  Alcotest.(check bool) "work remains" true (Vm.remaining e > 0.0);
+  Vm.abort e;
+  Alcotest.(check (float 0.0)) "nothing remains after abort" 0.0 (Vm.remaining e);
+  let s = Limb_pool.stats () in
+  Alcotest.(check bool) "some slabs were used" true (s.Limb_pool.slab_hits + s.slab_misses > 0);
+  Alcotest.(check int) "slab acquires = releases + drops"
+    (s.Limb_pool.slab_hits + s.slab_misses)
+    (s.slab_releases + s.slab_dropped);
+  (* The caller's input survived the abort. *)
+  check_ct_equal "input intact" (Pipeline.run_encrypted_rt rt ct)
+    (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x))
+
 (* Vm.schedule on a real compiled model: the validator must accept the
    schedule the parallel executor will use. *)
 let test_compiled_schedule_checks () =
@@ -207,5 +304,13 @@ let () =
             test_bootstrapped_bit_identical;
           Alcotest.test_case "plaintext cache transparent under both schedulers" `Quick
             test_pt_cache_identity;
+        ] );
+      ( "resumable",
+        [
+          Alcotest.test_case "gemv: two interleaved executions = Vm.run" `Quick
+            test_interleaved_gemv;
+          Alcotest.test_case "bootstrapped: two interleaved executions = Vm.run" `Quick
+            test_interleaved_bootstrapped;
+          Alcotest.test_case "abort returns every slab" `Quick test_abort_releases_slabs;
         ] );
     ]

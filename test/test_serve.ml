@@ -17,8 +17,14 @@ module Model_spec = Ace_serve.Model_spec
 module Telemetry = Ace_telemetry.Telemetry
 module Rng = Ace_util.Rng
 
+let parse_spec str = match Model_spec.parse str with Ok s -> s | Error e -> failwith e
 let spec_str = "gemv:16:4"
-let spec = match Model_spec.parse spec_str with Ok s -> s | Error e -> failwith e
+let spec = parse_spec spec_str
+
+(* A model whose execution spans many 5 ms slices (~0.2 s, ~1000 nodes),
+   served beside the light one. *)
+let big_spec = parse_spec "gemv:128:128"
+let two_models = [ ("demo", spec); ("big", big_spec) ]
 
 let next_socket =
   let n = ref 0 in
@@ -50,15 +56,49 @@ let with_server ?(batch = 1) ?(max_queue = 64) ?cache_dir ?(models = [ ("demo", 
       if Sys.file_exists socket_path then Sys.remove socket_path)
     (fun () -> f socket_path)
 
-let prepare_tenant socket tenant ~key_seed =
+let prepare_tenant ?(model = "demo") socket tenant ~key_seed =
   let t = Client.connect socket in
-  match Client.prepare t ~tenant ~model:"demo" ~key_seed ~oracle_seed:(key_seed + 1) with
+  match Client.prepare t ~tenant ~model ~key_seed ~oracle_seed:(key_seed + 1) with
   | Ok sess -> (t, sess)
   | Error e -> failwith ("prepare: " ^ e)
 
-let random_image seed =
+let random_image ?(elems = 16) seed =
   let rng = Rng.create seed in
-  Array.init 16 (fun _ -> Rng.float rng 1.0 -. 0.5)
+  Array.init elems (fun _ -> Rng.float rng 1.0 -. 0.5)
+
+(* What a local Pipeline run with the same key and input seeds decrypts
+   to: a served result must equal it bit for bit. *)
+let local_output spec ~key_seed ~seed image =
+  let c = Pipeline.compile ~batch:1 ~complex:false Pipeline.ace (Model_spec.nn spec) in
+  let keys = Pipeline.make_keys c ~seed:key_seed in
+  Pipeline.decrypt_output c keys
+    (Pipeline.run_encrypted c keys ~seed:0 (Pipeline.encrypt_input c keys ~seed image))
+
+let decrypt_exn sess blob =
+  match Client.decrypt sess ~region:0 blob with Ok o -> o | Error e -> Alcotest.fail e
+
+let infer_frame (sess : Client.session) ~request_id ct =
+  Wire.encode_request
+    (Wire.Infer
+       {
+         tenant = sess.Client.tenant;
+         model = sess.Client.model;
+         request_id;
+         region = 0;
+         coalesce = false;
+         ct;
+       })
+
+let raw_connect socket =
+  let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect raw (Unix.ADDR_UNIX socket);
+  raw
+
+let read_result raw =
+  match Wire.read_response raw with
+  | Ok (Wire.Result { request_id; ct }) -> (request_id, ct)
+  | Ok _ -> Alcotest.fail "expected a Result"
+  | Error (_, e) -> Alcotest.fail e
 
 (* --- hello / describe --- *)
 
@@ -157,8 +197,17 @@ let test_overflow_returns_overloaded () =
 
 (* --- a client dying mid-request must not hurt the daemon --- *)
 
+let metric_count name =
+  match Telemetry.find_stats (Telemetry.snapshot ()) name with
+  | Some s -> s.Telemetry.st_count
+  | None -> 0
+
+let cancelled () = Telemetry.count_of (Telemetry.metric "serve.cancelled")
+
+let served t = match Client.get_stats t with Ok s -> s.Wire.sv_served | Error e -> failwith e
+
 let test_kill_mid_request_daemon_survives () =
-  with_server (fun socket ->
+  with_server ~models:two_models (fun socket ->
       let t1, sess1 = prepare_tenant socket "alice" ~key_seed:1 in
       let image = random_image 4 in
       (* Submit and slam the socket shut without reading the reply. *)
@@ -183,7 +232,87 @@ let test_kill_mid_request_daemon_survives () =
         match Client.await_result t3 with
         | Ok (rid, _) -> Alcotest.(check string) "old session still usable" "back" rid
         | Error e -> Alcotest.fail e));
+      (* A client killed while its multi-slice execution runs: the
+         execution is dropped between slices, so the next same-cost
+         request (which never preempts) does not wait for the rest. *)
+      let big_image = random_image ~elems:128 5 in
+      let tk, sk = prepare_tenant ~model:"big" socket "carol" ~key_seed:3 in
+      let tn, sn = prepare_tenant ~model:"big" socket "dave" ~key_seed:4 in
+      let doomed = Client.encrypt sk ~seed:12 big_image
+      and next = Client.encrypt sn ~seed:13 big_image in
+      let served0 = served t3 and cancelled0 = cancelled () in
+      let started0 = metric_count "serve.queue_wait" in
+      Client.submit tk sk ~request_id:"doomed-big" doomed;
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while metric_count "serve.queue_wait" = started0 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Client.close tk;
+      Client.submit tn sn ~request_id:"next-big" next;
+      (match Client.await_result tn with
+      | Ok (rid, _) -> Alcotest.(check string) "next client served" "next-big" rid
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check int) "killed execution dropped" (cancelled0 + 1) (cancelled ());
+      Alcotest.(check int) "only the next client's request completed" (served0 + 1) (served t3);
+      Client.close tn;
       Client.close t3)
+
+(* --- shortest remaining work first --- *)
+
+(* A light request submitted after a multi-slice one, on another
+   connection, is answered first: it starts as soon as it is strictly
+   cheaper than the running execution's remainder and finishes within a
+   slice or two. Both replies equal local Pipeline runs. *)
+let test_light_overtakes_heavy () =
+  with_server ~models:two_models (fun socket ->
+      let th, sh = prepare_tenant ~model:"big" socket "heavy" ~key_seed:21 in
+      let tl, sl = prepare_tenant socket "light" ~key_seed:22 in
+      let big_image = random_image ~elems:128 23 and small_image = random_image 24 in
+      let heavy = infer_frame sh ~request_id:"heavy" (Client.encrypt sh ~seed:25 big_image)
+      and light = infer_frame sl ~request_id:"light" (Client.encrypt sl ~seed:26 small_image) in
+      let rh = raw_connect socket and rl = raw_connect socket in
+      Wire.write_all rh heavy;
+      Wire.write_all rl light;
+      let lid, lblob = read_result rl in
+      let heavy_pending =
+        match Unix.select [ rh ] [] [] 0.0 with [], _, _ -> true | _ -> false
+      in
+      let hid, hblob = read_result rh in
+      Alcotest.(check string) "light id" "light" lid;
+      Alcotest.(check string) "heavy id" "heavy" hid;
+      Alcotest.(check bool) "light reply came while heavy was still running" true heavy_pending;
+      Alcotest.(check bool) "light bit-identical to local" true
+        (decrypt_exn sl lblob = local_output spec ~key_seed:22 ~seed:26 small_image);
+      Alcotest.(check bool) "heavy bit-identical to local" true
+        (decrypt_exn sh hblob = local_output big_spec ~key_seed:21 ~seed:25 big_image);
+      List.iter Unix.close [ rh; rl ];
+      Client.close th;
+      Client.close tl)
+
+(* The slice-pick rule. *)
+let units = QCheck.(list_of_size Gen.(0 -- 6) (map float_of_int (int_range 1 5)))
+
+let prop_pick_rule =
+  QCheck.Test.make ~name:"pick: strictly cheaper queued preempts, ties keep running, FIFO"
+    ~count:500 (QCheck.pair units units) (fun (queued, running) ->
+      let min_of = List.fold_left Float.min infinity in
+      let first_index x xs =
+        let rec go i = function
+          | [] -> -1
+          | y :: ys -> if y = x then i else go (i + 1) ys
+        in
+        go 0 xs
+      in
+      match Server.pick ~queued ~running with
+      | Server.Idle -> queued = [] && running = []
+      | Server.Start i ->
+        queued <> []
+        && min_of queued < min_of running
+        && i = first_index (min_of queued) queued
+      | Server.Slice j ->
+        running <> []
+        && (queued = [] || min_of queued >= min_of running)
+        && j = first_index (min_of running) running)
 
 (* --- fault injection: corruption yields typed errors, session survives --- *)
 
@@ -505,7 +634,10 @@ let () =
           Alcotest.test_case "drain stops admission" `Quick test_drain_stops_admission;
           Alcotest.test_case "64 pipelined frames: byte-split = whole replies" `Quick
             test_split_frames_same_replies;
+          Alcotest.test_case "light request overtakes a multi-slice one" `Quick
+            test_light_overtakes_heavy;
         ] );
+      ("pick", [ QCheck_alcotest.to_alcotest prop_pick_rule ]);
       ( "queue",
         [
           QCheck_alcotest.to_alcotest prop_byte_queue_model;

@@ -214,6 +214,31 @@ dune exec tools/ace_report.exe -- "$smetrics" \
   --require request.latency --require serve.queue_depth --require "serve.*" \
   --min-count serve.admitted 12 --min-count request.latency 12
 
+# Sliced serving: one daemon serving a light model and a multi-slice one
+# (~1000 nodes, ~0.2 s per execution) to two pipelined clients on two
+# connections at once, with pool debugging on (released buffers
+# poisoned, double releases caught).  Both clients verify every output
+# against the cleartext reference and match replies by request id; the
+# flushed metrics must carry the slicing family.
+echo "== sliced serving, two models, ACE_POOL_DEBUG=1 =="
+smetrics2="/tmp/ace_metrics_slices.jsonl"
+rm -f "$ssock" "$smetrics2"
+ACE_DOMAINS=1 ACE_POOL_DEBUG=1 ACE_METRICS_INTERVAL=0.2 ACE_METRICS_PATH="$smetrics2" \
+  ./_build/default/bin/ace_serve.exe --socket "$ssock" \
+    --model light=gemv:16:4 --model big=gemv:128:128 2>/dev/null &
+spid=$!
+for _ in $(seq 1 100); do [ -S "$ssock" ] && break; sleep 0.2; done
+./_build/default/bin/ace_client.exe --socket "$ssock" --model big --tenant heavy \
+  --requests 3 --verify --spec gemv:128:128 >/dev/null &
+cpid=$!
+./_build/default/bin/ace_client.exe --socket "$ssock" --model light --tenant light \
+  --requests 48 --verify --spec gemv:16:4 >/dev/null
+wait "$cpid"
+kill -TERM "$spid"
+wait "$spid"
+dune exec tools/ace_report.exe -- "$smetrics2" \
+  --require serve.queue_wait --require serve.exec_wall --require serve.slices
+
 # Differential quick tier: 5 seeded random graphs, encrypted vs cleartext
 # under {seq, wavefront} x {1, 4 domains} with bit-identity across all
 # four.  (The full 25-graph suite runs with ACE_DIFF_FULL=1; CI keeps the
