@@ -627,9 +627,10 @@ let batch_bench () =
    per-request amortized latency at k in {1,4,8}, the cost-model
    calibration table, the dropped_events count, the instrumentation-
    overhead gate against BENCH_pr7, the slot-batching k-sweep, the
-   scheduler sweep with efficiency-per-core, lazy-pass rows, and the
-   key-switch tail gate. *)
-let json_schema_version = 9
+   domains sweep with efficiency-per-core, lazy-pass rows, and the
+   key-switch tail gate. Schema 10 replaced the scheduler sweep and the
+   per-domain busy profile with the sequential executor's domains sweep. *)
+let json_schema_version = 10
 
 let json_bench ?(path = "BENCH_pr9.json") () =
   let module Domain_pool = Ace_util.Domain_pool in
@@ -731,7 +732,7 @@ let json_bench ?(path = "BENCH_pr9.json") () =
   in
   let rot_seq_ns, rot_hoist_ns = rotate_pair_ns in
   (* end-to-end: per-image inference on the quick models, then the
-     scheduler sweep on the same resnet20 image (determinism means every
+     domains sweep on the same resnet20 image (determinism means every
      configuration produces identical ciphertexts; only the wall clock may
      differ — which the sweep verifies). *)
   (* Each model is measured in its own window: keygen first, then a
@@ -966,11 +967,10 @@ let json_bench ?(path = "BENCH_pr9.json") () =
       (baseline /. List.assoc "resnet20" infer_rows)
       d default_domains
   | None -> print_endline "BENCH_pr4.json not found; skipping cross-PR comparison");
-  (* Scheduler sweep: resnet20, domains x {seq, wavefront}. One encrypted
-     input reused throughout; outputs are checked bit-identical across every
-     configuration (the run aborts loudly if the determinism contract ever
-     broke). Timing runs are untraced; utilization comes from separate
-     traced runs below. *)
+  (* Domains sweep: resnet20 on the sequential executor at every pool
+     width. One encrypted input reused throughout; outputs are checked
+     bit-identical across every width (the run aborts loudly if the
+     determinism contract ever broke). *)
   let sweep_spec = Resnet.resnet20 in
   let sweep_c = compiled Pipeline.ace sweep_spec in
   let sweep_keys = Pipeline.make_keys sweep_c ~seed:77 in
@@ -981,25 +981,24 @@ let json_bench ?(path = "BENCH_pr9.json") () =
   in
   let sweep_ct = Pipeline.encrypt_input sweep_c sweep_keys ~seed:55 sweep_image in
   let reference_out = ref None in
-  let sweep_run ~domains ~scheduler =
+  let sweep_run domains =
     Domain_pool.set_num_domains domains;
     let out, dt =
-      time (fun () -> Pipeline.run_encrypted ~scheduler sweep_c sweep_keys ~seed:55 sweep_ct)
+      time (fun () -> Pipeline.run_encrypted sweep_c sweep_keys ~seed:55 sweep_ct)
     in
     (match !reference_out with
     | None -> reference_out := Some out
     | Some r ->
       if not (Array.for_all2 Ace_rns.Rns_poly.equal r.Ace_fhe.Ciphertext.polys out.Ace_fhe.Ciphertext.polys)
-      then failwith "scheduler sweep: output not bit-identical to reference");
-    Printf.printf "sweep resnet20 domains=%d sched=%-9s %7.2fs\n%!" domains
-      (Pipeline.scheduler_name scheduler) dt;
+      then failwith "domains sweep: output not bit-identical to reference");
+    Printf.printf "sweep resnet20 domains=%d %7.2fs\n%!" domains dt;
     dt
   in
   let host_cores = Domain.recommended_domain_count () in
   let single_core = host_cores <= 1 in
   if single_core then
     prerr_endline
-      "bench: warning: scheduler sweep running on a 1-core host — multi-domain rows \
+      "bench: warning: domains sweep running on a 1-core host — multi-domain rows \
        measure scheduling overhead, not parallel speedup (host_cores records this)";
   (* Auto-sized to the detected cores: the powers of two up to
      max(8, host_cores), plus host_cores itself when it is not one of
@@ -1008,69 +1007,7 @@ let json_bench ?(path = "BENCH_pr9.json") () =
     List.sort_uniq compare
       (List.filter (fun d -> d >= 1 && d <= 64) [ 1; 2; 4; 8; host_cores ])
   in
-  let sweep_rows =
-    List.concat_map
-      (fun d ->
-        List.map
-          (fun s -> (d, s, sweep_run ~domains:d ~scheduler:s))
-          [ Pipeline.Seq; Pipeline.Wavefront ])
-      sweep_domains
-  in
-  let sweep_seconds ~domains ~scheduler =
-    let _, _, t =
-      List.find (fun (d, s, _) -> d = domains && s = scheduler) sweep_rows
-    in
-    t
-  in
-  (* Per-domain busy time: a traced wavefront run at 4 domains; busy(tid) =
-     sum of that worker's per-node "vm." span durations, utilization =
-     total busy / (domains * wall). On a single-core host utilization still
-     reports how evenly nodes spread over workers; wall-clock speedup
-     additionally needs the cores. *)
-  let busy_profile ~domains ~scheduler =
-    Domain_pool.set_num_domains domains;
-    Telemetry.reset_trace ();
-    Telemetry.set_tracing true;
-    ignore (Pipeline.run_encrypted ~scheduler sweep_c sweep_keys ~seed:55 sweep_ct);
-    Telemetry.set_tracing false;
-    let evs = Telemetry.events () in
-    let busy = Hashtbl.create 8 in
-    let t_min = ref infinity and t_max = ref neg_infinity in
-    List.iter
-      (fun e ->
-        let n = e.Telemetry.ev_name in
-        if String.length n >= 3 && String.sub n 0 3 = "vm." then begin
-          let cur = Option.value ~default:0.0 (Hashtbl.find_opt busy e.Telemetry.ev_tid) in
-          Hashtbl.replace busy e.Telemetry.ev_tid (cur +. (e.Telemetry.ev_dur_us /. 1e6));
-          t_min := min !t_min (e.Telemetry.ev_ts_us /. 1e6);
-          t_max := max !t_max ((e.Telemetry.ev_ts_us +. e.Telemetry.ev_dur_us) /. 1e6)
-        end)
-      evs;
-    Telemetry.reset_trace ();
-    let wall = if !t_max > !t_min then !t_max -. !t_min else 0.0 in
-    let per_tid =
-      List.sort compare (Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) busy [])
-    in
-    let total = List.fold_left (fun acc (_, b) -> acc +. b) 0.0 per_tid in
-    let util = if wall > 0.0 then total /. (float_of_int domains *. wall) else 0.0 in
-    Printf.printf "busy  resnet20 domains=%d sched=%-9s wall=%.2fs tids=%d util=%.2f\n%!"
-      domains (Pipeline.scheduler_name scheduler) wall (List.length per_tid) util;
-    (wall, per_tid, util)
-  in
-  let busy_json ~domains ~scheduler =
-    let wall, per_tid, util = busy_profile ~domains ~scheduler in
-    Printf.sprintf
-      "{\"domains\": %d, \"scheduler\": \"%s\", \"wall_seconds\": %.4f, \
-       \"per_tid_busy_seconds\": {%s}, \"utilization\": %.4f}"
-      domains
-      (Pipeline.scheduler_name scheduler)
-      wall
-      (String.concat ", "
-         (List.map (fun (tid, b) -> Printf.sprintf "\"%d\": %.4f" tid b) per_tid))
-      util
-  in
-  let busy_seq = busy_json ~domains:4 ~scheduler:Pipeline.Seq in
-  let busy_wf = busy_json ~domains:4 ~scheduler:Pipeline.Wavefront in
+  let sweep_rows = List.map (fun d -> (d, sweep_run d)) sweep_domains in
   Domain_pool.set_num_domains default_domains;
   (* PR9 steady-state GC A/B: a resident runtime (cached weight
      plaintexts, persistent VM) re-running the same resnet20 inference is
@@ -1085,7 +1022,7 @@ let json_bench ?(path = "BENCH_pr9.json") () =
   let gc_measure ~pooled =
     Ace_rns.Limb_pool.set_enabled pooled;
     Domain_pool.set_num_domains 1;
-    let rt = Pipeline.make_runtime ~scheduler:Pipeline.Seq sweep_c sweep_keys ~seed:55 in
+    let rt = Pipeline.make_runtime sweep_c sweep_keys ~seed:55 in
     (* Warm run: fills the plaintext cache, the pool, and the keygen
        memos, so the measured window is pure steady state. *)
     let out = ref (Pipeline.run_encrypted_rt rt sweep_ct) in
@@ -1198,7 +1135,7 @@ let json_bench ?(path = "BENCH_pr9.json") () =
     (Printf.sprintf "  \"dropped_events\": %d,\n" (Telemetry.dropped_events ()));
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"gc_steady_state\": {\"model\": \"resnet20\", \"scheduler\": \"seq\", \
+       "  \"gc_steady_state\": {\"model\": \"resnet20\", \
         \"reps\": %d, \"pooled\": {\"major_words_per_infer\": %.1f, \
         \"minor_words_per_infer\": %.1f, \"major_collections_per_infer\": %.3f, \
         \"seconds_per_infer\": %.4f, \"fhe_add_p999_over_p50\": %.3f}, \
@@ -1215,31 +1152,24 @@ let json_bench ?(path = "BENCH_pr9.json") () =
        pool_stats.Ace_rns.Limb_pool.slab_dropped pool_stats.Ace_rns.Limb_pool.row_hits
        pool_stats.Ace_rns.Limb_pool.row_misses);
   Buffer.add_string buf
-    (Printf.sprintf "  \"scheduler_sweep\": [%s],\n"
+    (Printf.sprintf "  \"domains_sweep\": [%s],\n"
        (String.concat ", "
           (List.map
-             (fun (d, s, t) ->
-               (* efficiency_per_core = t(1)/(d * t(d)) for the same
-                  scheduler: 1.0 is perfect scaling. On a 1-core host
-                  (sweep_single_core above) extra domains only add
-                  scheduling overhead, so the column honestly degrades. *)
-               let base = sweep_seconds ~domains:1 ~scheduler:s in
+             (fun (d, t) ->
+               (* efficiency_per_core = t(1)/(d * t(d)): 1.0 is perfect
+                  scaling. On a 1-core host (sweep_single_core above)
+                  extra domains only add scheduling overhead, so the
+                  column honestly degrades. *)
                Printf.sprintf
-                 "{\"domains\": %d, \"scheduler\": \"%s\", \"seconds\": %.4f, \
-                  \"efficiency_per_core\": %.4f}"
-                 d (Pipeline.scheduler_name s) t
-                 (base /. (float_of_int d *. t)))
+                 "{\"domains\": %d, \"seconds\": %.4f, \"efficiency_per_core\": %.4f}" d t
+                 (List.assoc 1 sweep_rows /. (float_of_int d *. t)))
              sweep_rows)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"busy\": [%s, %s],\n" busy_seq busy_wf);
-  (let seq1 = sweep_seconds ~domains:1 ~scheduler:Pipeline.Seq in
-   let wf4 = sweep_seconds ~domains:4 ~scheduler:Pipeline.Wavefront in
+  (let seq1 = List.assoc 1 sweep_rows and par = List.assoc host_cores sweep_rows in
    Buffer.add_string buf
      (Printf.sprintf
         "  \"scaling\": {\"model\": \"resnet20\", \"sequential_seconds\": %.4f, \
-         \"parallel_seconds\": %.4f, \"parallel_domains\": %d, \"parallel_scheduler\": \
-         \"wavefront\", \"speedup\": %.3f},\n"
-        seq1 wf4 4 (seq1 /. wf4)));
+         \"parallel_seconds\": %.4f, \"parallel_domains\": %d, \"parallel_speedup\": %.3f},\n"
+        seq1 par host_cores (seq1 /. par)));
   Buffer.add_string buf
     (Printf.sprintf
        "  \"micro\": {\"ntt_forward_n4096_ns_per_op\": %.0f, \
@@ -1308,115 +1238,6 @@ let json_bench ?(path = "BENCH_pr9.json") () =
     exit 1
   end
 
-(* ---------- serving throughput (PR10) ---------- *)
-
-(* requests/s against a live ace-serve daemon at k concurrent client
-   connections, k in {1, 4, 8}.  The daemon runs in a second domain of
-   this process; each connection pipelines coalescible requests pinned
-   to its own batch region, so higher k also exercises the batch-axis
-   merge (one homomorphic execution serving several clients).  Every
-   point is sanity-checked against cleartext inference before it is
-   recorded.  Artifact: BENCH_pr10.json. *)
-let serve_bench ?(path = "BENCH_pr10.json") () =
-  let module Server = Ace_serve.Server in
-  let module Client = Ace_serve.Client in
-  let module Model_spec = Ace_serve.Model_spec in
-  let spec_str = "gemv:16:4" in
-  let spec =
-    match Model_spec.parse spec_str with Ok s -> s | Error m -> failwith m
-  in
-  let socket = Printf.sprintf "/tmp/ace-bench-serve-%d.sock" (Unix.getpid ()) in
-  let batch = 8 in
-  let cfg =
-    {
-      Server.default_config with
-      socket_path = socket;
-      models = [ ("bench", spec) ];
-      batch;
-      max_queue = 256;
-    }
-  in
-  let server = Server.create cfg in
-  let dom = Domain.spawn (fun () -> Server.run server) in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.01
-  done;
-  let ok = function Ok v -> v | Error m -> failwith ("serve bench: " ^ m) in
-  let c0 = Client.connect socket in
-  let sess =
-    ok (Client.prepare c0 ~tenant:"bench" ~model:"bench" ~key_seed:11 ~oracle_seed:12)
-  in
-  let input = Array.init 16 (fun i -> float_of_int (i + 1) /. 17.0) in
-  let expect = Model_spec.reference spec input in
-  let check out tag =
-    Array.iteri
-      (fun i v ->
-        if abs_float (v -. expect.(i)) > 1e-2 then
-          failwith (Printf.sprintf "serve bench: %s mismatch at %d" tag i))
-      out
-  in
-  check (ok (Client.infer c0 sess ~seed:3 input)) "warmup";
-  let total = 24 in
-  Printf.printf
-    "serve: requests/s vs concurrent clients (model %s, batch %d, %d requests per point)\n"
-    spec_str batch total;
-  let rows =
-    List.map
-      (fun k ->
-        let per = total / k in
-        let conns = Array.init k (fun _ -> Client.connect socket) in
-        let payloads =
-          Array.init k (fun c ->
-              Array.init per (fun r ->
-                  Client.encrypt_region sess ~seed:(100 + (c * per) + r) ~region:c input))
-        in
-        let t0 = Unix.gettimeofday () in
-        Array.iteri
-          (fun c conn ->
-            Array.iteri
-              (fun r ct ->
-                Client.submit conn sess
-                  ~request_id:(Printf.sprintf "bench-%d-%d" c r)
-                  ~region:c ~coalesce:true ct)
-              payloads.(c))
-          conns;
-        let replies =
-          Array.map (fun conn -> Array.init per (fun _ -> ok (Client.await_result conn))) conns
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        Array.iteri
-          (fun c per_conn ->
-            let _, ct = per_conn.(0) in
-            check (ok (Client.decrypt sess ~region:c ct)) "served result")
-          replies;
-        Array.iter Client.close conns;
-        let rps = float_of_int total /. dt in
-        Printf.printf "  clients=%d  %8.1f req/s  (%.3f s)\n%!" k rps dt;
-        (k, total, dt, rps))
-      [ 1; 4; 8 ]
-  in
-  ok (Client.drain c0);
-  Client.close c0;
-  Domain.join dom;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema_version\":1,\"bench\":\"serve\",\"model\":\"%s\",\"batch\":%d,\"rows\":["
-       spec_str batch);
-  List.iteri
-    (fun i (k, n, dt, rps) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"clients\":%d,\"requests\":%d,\"seconds\":%.6f,\"rps\":%.3f}" k
-           n dt rps))
-    rows;
-  Buffer.add_string buf "]}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "serve: wrote %s\n%!" path
-
 (* ---------- driver ---------- *)
 
 let () =
@@ -1444,7 +1265,6 @@ let () =
       let _, _, _ = batch_bench () in
       ()
     | "ablation" -> ablation ()
-    | "serve" -> serve_bench ()
     | other -> Printf.eprintf "unknown benchmark %s\n" other
   in
   match cmds with

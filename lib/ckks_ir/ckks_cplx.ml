@@ -36,8 +36,8 @@ open Ace_ir
    m=1/2 is demoted to split execution. Plaintext addends are halved iff
    the packed operand carries m=1/2. Every rewritten node copies the
    source node's (scale, level) annotations — C_conj and C_mul_i are
-   scale- and level-preserving — so Scale_check and the abstract verifier
-   accept the rewritten function under the unmodified CKKS rules. *)
+   scale- and level-preserving — so the abstract verifier accepts the
+   rewritten function under the unmodified CKKS rules. *)
 
 type mult = M1 | Mhalf
 

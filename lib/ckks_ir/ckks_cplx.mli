@@ -26,8 +26,8 @@
     the function slower than running the two streams separately.
 
     All inserted ops are scale- and level-preserving, and every rewritten
-    node copies its source annotations, so {!Scale_check} and the abstract
-    verifier accept the result under the unmodified CKKS rules. *)
+    node copies its source annotations, so the abstract verifier accepts
+    the result under the unmodified CKKS rules. *)
 
 type stats = {
   packed_nodes : int;  (** source cipher ops executed once, on packed values *)

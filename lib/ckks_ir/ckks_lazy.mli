@@ -14,8 +14,8 @@
       [add(rescale a, rescale b) -> rescale(add(a, b))], to a fixpoint.
 
     Both passes preserve scale/level annotations node-for-node, so they run
-    after {!Lower_sihe} + {!Ckks_fusion.run} and before {!Scale_check},
-    key planning and rotation batching. *)
+    after {!Lower_sihe} + {!Ckks_fusion.run} and before the verifier's
+    CKKS check, key planning and rotation batching. *)
 
 type stats = {
   relins_eager : int;  (** relin nodes before the passes *)

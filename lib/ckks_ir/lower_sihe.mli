@@ -29,7 +29,8 @@ exception Lowering_error of string
 
 val lower : config -> Ace_ir.Irfunc.t -> Ace_ir.Irfunc.t
 (** Every node of the result carries its exact [scale] and [node_level]
-    annotations; {!Scale_check.check} validates them. *)
+    annotations; the verifier's CKKS check ([Ace_verify.Verifier.ckks])
+    validates them. *)
 
 val rotation_amounts : Ace_ir.Irfunc.t -> int list
 val bootstrap_count : Ace_ir.Irfunc.t -> int

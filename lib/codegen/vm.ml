@@ -4,7 +4,6 @@ module Eval = Fhe.Eval
 module Encoder = Fhe.Encoder
 module Context = Fhe.Context
 module Cost = Fhe.Cost
-module Domain_pool = Ace_util.Domain_pool
 module Telemetry = Ace_telemetry.Telemetry
 module Cplx = Fhe.Cplx
 open Ace_ir
@@ -21,21 +20,18 @@ type t = {
      the encode — embedding, rounding and the forward NTT — can be paid
      once per node instead of once per inference. [None] disables caching:
      a single-shot run then frees each plaintext after its last use.
-     [pt_lock] makes lookups domain-safe under the wavefront scheduler;
-     encoding is pure, so a racing double-encode is only wasted work and
-     the first insertion wins. *)
+     [pt_lock] keeps lookups safe when executions of one VM run on
+     different domains; encoding is pure, so a racing double-encode is
+     only wasted work and the first insertion wins. *)
   pt_cache : (int, Ciphertext.pt) Hashtbl.t option;
   pt_lock : Mutex.t;
-  (* Wavefront schedule, computed on the first [run_parallel]; sequential
-     runs never pay the analysis. *)
-  mutable sched : Sched.t option;
   (* Sequential plan, computed on the first [step]: every execution of
      one prepared VM shares it. *)
   mutable plan : seq_plan option;
 }
 
 and seq_plan = {
-  to_free : int list array;  (** values dead once node [i] has run *)
+  to_free : int array array;  (** {!Sched.plan}: values dead once node [i] has run *)
   cost_before : float array;
       (** {!Sched.node_cost} units of nodes [0..i-1], summed in program
           order so that entry [num_nodes] is {!Sched.func_cost} exactly *)
@@ -54,65 +50,26 @@ let phase_of_origin origin =
 
 let prepare ?(cache_plaintexts = false) ~keys ~bootstrap func =
   if Irfunc.level func <> Level.Ckks then invalid_arg "Vm.prepare: not a CKKS function";
-  Ace_ckks_ir.Scale_check.check keys.Fhe.Keys.context func;
   {
     keys;
     bootstrap;
     func;
     pt_cache = (if cache_plaintexts then Some (Hashtbl.create 256) else None);
     pt_lock = Mutex.create ();
-    sched = None;
     plan = None;
   }
 
-(* Mirrors Ace_verify.Verifier.enabled — the verifier library sits above
-   this one, so the executor reads the knob itself rather than importing
-   it. Cost is one O(nodes + edges) validation per prepared VM. *)
-let runtime_checks =
-  lazy
-    (match Sys.getenv_opt "ACE_VERIFY" with
-    | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "off" | "false" | "no" -> false
-      | _ -> true)
-    | None -> true)
-
-let schedule t =
-  match t.sched with
-  | Some s -> s
-  | None ->
-    let s = Sched.analyze t.func in
-    if Lazy.force runtime_checks then Sched.check t.func s;
-    t.sched <- Some s;
-    s
-
-(* Release each value after its last use: compiled functions hold tens of
-   thousands of ciphertexts and plaintexts, far more than ever live at
-   once (the generated C frees them the same way). A rotation batch is
-   kept alive past the last use of every view extracted from it —
-   releasing the batch frees the records the views alias, so its lifetime
-   is the union of its own and its views'. [max_int] marks never-released
-   (returns, unused values); it absorbs the extension. The extended last
-   use of a batch is a node that does not name it as an argument, so
-   releases key off a per-node list rather than the releasing node's
-   args. *)
+(* Release each value after its last use ({!Sched.plan}, the plan the
+   verifier checks): compiled functions hold tens of thousands of
+   ciphertexts and plaintexts, far more than ever live at once (the
+   generated C frees them the same way). *)
 let seq_plan t =
   match t.plan with
   | Some p -> p
   | None ->
     let f = t.func in
     let num_nodes = Irfunc.num_nodes f in
-    let last_use = Array.make num_nodes max_int in
-    Irfunc.iter f (fun n -> Array.iter (fun a -> last_use.(a) <- n.Irfunc.id) n.Irfunc.args);
-    List.iter (fun r -> last_use.(r) <- max_int) (Irfunc.returns f);
-    Irfunc.iter f (fun n ->
-        match n.Irfunc.op with
-        | Op.C_batch_get _ ->
-          let b = n.Irfunc.args.(0) in
-          if last_use.(n.Irfunc.id) > last_use.(b) then last_use.(b) <- last_use.(n.Irfunc.id)
-        | _ -> ());
-    let to_free = Array.make num_nodes [] in
-    Array.iteri (fun v u -> if u <> max_int then to_free.(u) <- v :: to_free.(u)) last_use;
+    let to_free = Sched.free_after (Sched.plan f) in
     let cost_before = Array.make (num_nodes + 1) 0.0 in
     for i = 0 to num_nodes - 1 do
       cost_before.(i + 1) <- cost_before.(i) +. Sched.node_cost (Irfunc.node f i)
@@ -131,18 +88,16 @@ type value =
   | V_none
 
 (* Return a dead value's ciphertext buffers to the limb pool. Called at
-   exactly the points [Sched]'s liveness marks a value dead (per-node
-   release lists sequentially, per-wavefront release sets in parallel),
-   which is what makes recycling safe: no later node can name the value.
+   exactly the points [Sched.plan] marks a value dead, which is what
+   makes recycling safe: no later node can name the value.
 
    A C_batch_get value is a VIEW — the same ciphertext record the batch
    still holds, and the same index may be extracted again much later (a
    gemm reads its rotation bundle once per diagonal block). Views
    therefore own nothing; the batch keeps ownership of every element and
-   the liveness analyses extend the batch's lifetime over all of its
-   views' consumers (see [alias_extend] / [Sched]). Plaintexts are
-   recycled only when the encode cache is off — cached encodings are
-   shared across runs and immortal. *)
+   [Sched.plan] extends the batch's lifetime over all of its views'
+   consumers. Plaintexts are recycled only when the encode cache is off —
+   cached encodings are shared across runs and immortal. *)
 let release_value t id v =
   match (Irfunc.node t.func id).Irfunc.op with
   | Op.C_batch_get _ -> ()
@@ -158,8 +113,7 @@ let release_value t id v =
    nodes), writes nothing — the caller stores the result. Everything it
    calls is domain-safe (Limb_pool scratch is domain-local, Crt memo
    tables and automorphism caches take their own locks, telemetry records
-   on the executing domain's shard), so the wavefront scheduler may run it
-   concurrently for independent nodes. *)
+   on the executing domain's shard). *)
 let exec_node t values inputs (n : Irfunc.node) =
   let ctx = t.keys.Fhe.Keys.context in
   let f = t.func in
@@ -252,8 +206,8 @@ let exec_node t values inputs (n : Irfunc.node) =
     match values.(n.Irfunc.args.(0)) with
     | V_ct_batch cts ->
       (* A view into the batch: the batch keeps ownership (the same index
-         may be extracted again by a later consumer), and the liveness
-         analyses keep the batch alive past every view's last use. *)
+         may be extracted again by a later consumer), and [Sched.plan]
+         keeps the batch alive past every view's last use. *)
       V_ct cts.(i)
     | _ ->
       invalid_arg
@@ -288,8 +242,6 @@ let calib_metrics =
        (fun c -> (c, Telemetry.metric ("calib." ^ c)))
        [ "key_switch"; "mul"; "rescale"; "encode"; "add"; "bootstrap" ])
 
-let calib_wavefront = lazy (Telemetry.metric "calib.wavefront")
-
 let observe_calib (n : Irfunc.node) dt =
   let predicted = Sched.node_cost n in
   if predicted >= 0.5 then
@@ -298,10 +250,8 @@ let observe_calib (n : Irfunc.node) dt =
     | None -> ()
 
 (* Timed wrapper: phase accounting plus the per-node span, recorded on the
-   executing domain's shard — under the wavefront scheduler that is the
-   worker that claimed the node, so the Chrome trace shows true per-tid
-   occupancy. [tag] carries request-attribution args (batch request ids)
-   into every per-node span. *)
+   executing domain's shard. [tag] carries request-attribution args (batch
+   request ids) into every per-node span. *)
 let exec_timed ?(tag = []) t values inputs (n : Irfunc.node) =
   let phase =
     match n.Irfunc.op with
@@ -392,7 +342,7 @@ let step e ~until =
       let result = exec_timed ~tag:e.tag t e.values e.inputs n in
       e.values.(n.Irfunc.id) <- result;
       (match result with V_ct c -> e.observe n c | _ -> ());
-      List.iter
+      Array.iter
         (fun a ->
           release_value t a e.values.(a);
           e.values.(a) <- V_none)
@@ -430,62 +380,3 @@ let run_observed ?tag ~observe t inputs =
   | None -> assert false
 
 let run ?tag t inputs = run_observed ?tag ~observe:(fun _ _ -> ()) t inputs
-
-(* Dataflow-parallel execution: one barrier per wavefront, node-level
-   work queue inside a wavefront when the cost model votes for it.
-
-   Determinism: nodes of one wavefront are pairwise independent, each
-   writes only its own [values] slot, and each node's computation is the
-   same code the sequential path runs (inner Domain_pool calls degrade to
-   the exact sequential loops while the node queue holds the pool). The
-   inter-wavefront barrier is the pool join, whose mutex hand-off also
-   publishes every slot written by the previous wavefront to all workers.
-   Hence [run_parallel] is bit-identical to [run] for any ACE_DOMAINS.
-
-   Values are released at wavefront granularity ([Sched.free_after]), on
-   the main domain, after the barrier: no worker can still be reading
-   them, and peak memory stays within one wavefront of the sequential
-   executor's live range. *)
-let run_parallel ?(tag = []) t inputs =
-  let f = t.func in
-  let sched = schedule t in
-  let inputs = Array.of_list inputs in
-  let values = Array.make (Irfunc.num_nodes f) V_none in
-  let waves = Sched.wavefronts sched in
-  let free = Sched.free_after sched in
-  let domains = Domain_pool.size () in
-  Array.iteri
-    (fun w nodes ->
-      (* Per-wavefront accountability: the predicted limbs-of-work total
-         vs the measured wall-clock, as a µs-per-unit observation — the
-         distribution the serving daemon's admission control will trust,
-         so it is recorded for BOTH execution modes. *)
-      let predicted = Sched.wave_weight sched w in
-      let t0 = Unix.gettimeofday () in
-      (match Sched.decide sched w ~domains with
-      | Sched.Sequential ->
-        Array.iter
-          (fun id -> values.(id) <- exec_timed ~tag t values inputs (Irfunc.node f id))
-          nodes
-      | Sched.Node_parallel ->
-        Domain_pool.parallel_each (Array.length nodes) (fun i ->
-            let id = nodes.(i) in
-            values.(id) <- exec_timed ~tag t values inputs (Irfunc.node f id));
-        let t1 = Unix.gettimeofday () in
-        Telemetry.emit_span ~cat:"sched"
-          ~args:
-            (("nodes", string_of_int (Array.length nodes))
-            :: ("predicted_units", Printf.sprintf "%.1f" predicted)
-            :: ("measured_us", Printf.sprintf "%.1f" ((t1 -. t0) *. 1e6))
-            :: tag)
-          ~name:"sched.wavefront" ~t0 ~dur:(t1 -. t0) ());
-      (if predicted > 0.0 then
-         let dt = Unix.gettimeofday () -. t0 in
-         Telemetry.observe (Lazy.force calib_wavefront) (dt *. 1e6 /. predicted));
-      Array.iter
-        (fun id ->
-          release_value t id values.(id);
-          values.(id) <- V_none)
-        free.(w))
-    waves;
-  collect_returns f values

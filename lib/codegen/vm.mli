@@ -13,15 +13,17 @@ type bootstrap_impl =
   node:int -> target_level:int -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
 (** [node] is the IR node id of the bootstrap being executed. Implementations
     must derive any randomness from it (not from call order) so that
-    sequential and wavefront execution produce bit-identical ciphertexts. *)
+    interleaved executions of one VM produce the same ciphertexts as
+    executions run one after another. *)
 
 type t
 
 val prepare :
   ?cache_plaintexts:bool ->
   keys:Ace_fhe.Keys.t -> bootstrap:bootstrap_impl -> Ace_ir.Irfunc.t -> t
-(** Validates annotations ({!Ace_ckks_ir.Scale_check}) and pre-resolves
-    constants. Plaintext masks are encoded on demand during execution
+(** Binds the function to a key set; no node runs and nothing is checked
+    here ({!Ace_driver.Pipeline} verifies the function before it prepares
+    a VM). Plaintext masks are encoded on demand during execution
     (they depend on per-node scale/level). With [cache_plaintexts]
     (default false) each weight's encoded, NTT-domain plaintext is kept
     keyed by node id, so repeated {!run} calls on one VM — the
@@ -71,27 +73,6 @@ val abort : exec -> unit
     pool through the same release path liveness uses. Cached plaintexts
     and the caller's inputs stay untouched. No-op on a finished
     execution, whose outputs belong to the caller. *)
-
-val run_parallel :
-  ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> Ace_fhe.Ciphertext.ct list
-(** Dataflow-parallel execution: partition the function into wavefronts
-    ({!Sched.analyze}, cached on the VM) and execute each wavefront's nodes
-    concurrently across the domain pool when the cost model prefers
-    node-level over limb-level parallelism ({!Sched.decide}). Bit-identical
-    to {!run} for any [ACE_DOMAINS]; with a pool of 1 it {e is} the
-    sequential loop. Per-node telemetry spans land on the worker domain
-    that executed the node.
-
-    Additionally records, for every wavefront in either mode, a
-    [calib.wavefront] observation of measured-wall-µs /
-    {!Sched.wave_weight} predicted units; node-parallel wavefronts carry
-    [predicted_units] / [measured_us] args on their [sched.wavefront]
-    span. *)
-
-val schedule : t -> Sched.t
-(** The wavefront schedule {!run_parallel} uses (computed on first demand
-    and cached). Exposed for tests and for the benchmark's occupancy
-    reports. *)
 
 val run_observed :
   ?tag:(string * string) list ->

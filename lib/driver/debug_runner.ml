@@ -148,10 +148,7 @@ let run_layers (c : Pipeline.compiled) keys ~seed input =
       | _ -> ()
     end
   in
-  let bootstrap ~node ~target_level x =
-    Fhe.Bootstrap.refresh_impl keys ~seed ~ordinal:node ~target_level x
-  in
-  let vm = Ace_codegen.Vm.prepare ~keys ~bootstrap c.Pipeline.ckks in
+  let vm = Pipeline.prepare_vm c keys ~seed in
   let ct = Pipeline.encrypt_input c keys ~seed input in
   (match Ace_codegen.Vm.run_observed ~observe vm [ ct ] with
   | [ _ ] -> ()

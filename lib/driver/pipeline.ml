@@ -87,8 +87,8 @@ type compiled = {
 }
 
 (* [ACE_LAZY] overrides the strategy's lazy relin/rescale toggle, mirroring
-   ACE_DOMAINS and ACE_SCHED: a compiled-in default the environment can
-   sweep without recompiling callers. *)
+   ACE_DOMAINS: a compiled-in default the environment can sweep without
+   recompiling callers. *)
 let lazy_enabled strategy =
   match Sys.getenv_opt "ACE_LAZY" with
   | None -> strategy.lazy_passes
@@ -235,13 +235,12 @@ let compile ?context ?batch ?complex strategy nn_input =
           end
           else (f, None)
         in
-        Ace_ckks_ir.Scale_check.check context f;
         ((f, cplx_info), lazy_stats))
   in
   let ckks, cplx_info = ckks in
   (* No keygen plan yet: the plan is derived from this function below, so
      this stage checks well-formedness and the abstract (scale, level,
-     limbs) interpretation plus both execution schedules. *)
+     limbs) interpretation plus the release plan. *)
   verify_stage ~pass:"ckks" ~context ckks;
   let key_plan =
     if strategy.pruned_keys then Keygen_plan.pruned ckks
@@ -250,19 +249,13 @@ let compile ?context ?batch ?complex strategy nn_input =
   let ckks, t_keys =
     timed "keys" (fun () ->
         let f =
-          if strategy.pruned_keys then ckks
-          else begin
-            let f = Keygen_plan.rewrite_rotations key_plan ckks in
-            Ace_ckks_ir.Scale_check.check context f;
-            f
-          end
+          if strategy.pruned_keys then ckks else Keygen_plan.rewrite_rotations key_plan ckks
         in
         (* Hoisting batches run on the FINAL rotation steps, so grouping
            must follow the hop rewrite above — a bundle is executed
            verbatim against its Galois keys. *)
         if strategy.hoist_rotations then begin
           let f = Ckks_fusion.batch_rotations f in
-          Ace_ckks_ir.Scale_check.check context f;
           Verify.verify f;
           f
         end
@@ -344,22 +337,6 @@ let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts 
   }
 
 let runtime_domains () = Ace_util.Domain_pool.size ()
-
-type scheduler = Seq | Wavefront
-
-let scheduler_name = function Seq -> "seq" | Wavefront -> "wavefront"
-
-(* [ACE_SCHED] mirrors [ACE_DOMAINS]: an environment default that explicit
-   [?scheduler] arguments override. Sequential remains the default — the
-   wavefront executor is bit-identical but opt-in, like the pool itself. *)
-let default_scheduler () =
-  match Sys.getenv_opt "ACE_SCHED" with
-  | None -> Seq
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "" | "seq" | "sequential" -> Seq
-    | "wavefront" | "parallel" -> Wavefront
-    | other -> invalid_arg ("ACE_SCHED must be seq or wavefront, got " ^ other))
 
 let make_keys c ~seed =
   let rng = Ace_util.Rng.create seed in
@@ -459,22 +436,17 @@ let gc_sample () =
 
 let default_request_ids k = Array.init k (fun i -> "r" ^ string_of_int i)
 
-type vm_state =
-  | Sliced of Ace_codegen.Vm.exec
-  | Unsliced of { vm : Ace_codegen.Vm.t; input : Fhe.Ciphertext.ct; units : float Lazy.t }
-      (** the wavefront executor runs whole, in the first step *)
-
 type exec = {
   x_compiled : compiled;
   x_k : int;
   x_tag : (string * string) list;
-  x_state : vm_state;
+  x_vm : Ace_codegen.Vm.exec;
   x_started : float;
   mutable x_busy : float;  (** wall time inside this execution's own slices *)
   x_gc : float array;  (** summed per-slice deltas, in [gc_metrics] order *)
 }
 
-let start_vm ?request_ids ~scheduler c vm ct =
+let start_vm ?request_ids c vm ct =
   let k = requests_per_ct c in
   let ids =
     match request_ids with
@@ -489,17 +461,11 @@ let start_vm ?request_ids ~scheduler c vm ct =
   let tag =
     [ ("request_ids", String.concat "," (Array.to_list ids)); ("k", string_of_int k) ]
   in
-  let state =
-    match scheduler with
-    | Seq -> Sliced (Ace_codegen.Vm.start ~tag vm [ ct ])
-    | Wavefront ->
-      Unsliced { vm; input = ct; units = lazy (Ace_codegen.Sched.func_cost c.ckks) }
-  in
   {
     x_compiled = c;
     x_k = k;
     x_tag = tag;
-    x_state = state;
+    x_vm = Ace_codegen.Vm.start ~tag vm [ ct ];
     x_started = Unix.gettimeofday ();
     x_busy = 0.0;
     x_gc = Array.make (Array.length (Lazy.force gc_metrics)) 0.0;
@@ -537,10 +503,7 @@ let step x ~until =
   let t0 = Unix.gettimeofday () in
   let g0 = gc_sample () in
   let out =
-    try
-      match x.x_state with
-      | Sliced e -> Ace_codegen.Vm.step e ~until
-      | Unsliced u -> Some (Ace_codegen.Vm.run_parallel ~tag:x.x_tag u.vm [ u.input ])
+    try Ace_codegen.Vm.step x.x_vm ~until
     with Fhe.Eval.Missing_rotation_key { step; available } ->
       let show l = String.concat "; " (List.map string_of_int l) in
       failwith
@@ -555,23 +518,27 @@ let step x ~until =
   Array.iteri (fun i v -> x.x_gc.(i) <- x.x_gc.(i) +. (v -. g0.(i))) g1;
   Option.map (finish x) out
 
-let remaining x =
-  match x.x_state with
-  | Sliced e -> Ace_codegen.Vm.remaining e
-  | Unsliced u -> Lazy.force u.units
-
-let abort x = match x.x_state with Sliced e -> Ace_codegen.Vm.abort e | Unsliced _ -> ()
+let remaining x = Ace_codegen.Vm.remaining x.x_vm
+let abort x = Ace_codegen.Vm.abort x.x_vm
 
 let run_to_end x =
   match step x ~until:infinity with Some ct -> ct | None -> assert false
 
-let make_bootstrap keys ~seed ~node ~target_level x =
-  Fhe.Bootstrap.refresh_impl keys ~seed ~ordinal:node ~target_level x
+(* Every VM is prepared here, and every one is checked first, whatever
+   [ACE_VERIFY] says: a function restored from disk or built by hand has
+   not been through [compile]'s stage checks, and a bad scale or level
+   annotation would otherwise surface only as garbage decrypts. *)
+let prepare_vm ?cache_plaintexts c keys ~seed =
+  (match Verifier.ckks ~pass:"load" keys.Fhe.Keys.context c.ckks with
+  | [] -> ()
+  | ds -> raise (Verifier.Rejected ds));
+  let bootstrap ~node ~target_level x =
+    Fhe.Bootstrap.refresh_impl keys ~seed ~ordinal:node ~target_level x
+  in
+  Ace_codegen.Vm.prepare ?cache_plaintexts ~keys ~bootstrap c.ckks
 
-let run_encrypted ?scheduler ?request_ids c keys ~seed ct =
-  let scheduler = match scheduler with Some s -> s | None -> default_scheduler () in
-  let vm = Ace_codegen.Vm.prepare ~keys ~bootstrap:(make_bootstrap keys ~seed) c.ckks in
-  run_to_end (start_vm ?request_ids ~scheduler c vm ct)
+let run_encrypted ?request_ids c keys ~seed ct =
+  run_to_end (start_vm ?request_ids c (prepare_vm c keys ~seed) ct)
 
 (* Under complex packing the decrypted slots hold m*(a + i*b); divide by
    the multiplier the cplx pass recorded for this output. *)
@@ -608,9 +575,9 @@ let decrypt_batch c keys ct =
 let infer_encrypted c keys ~seed image =
   decrypt_output c keys (run_encrypted c keys ~seed (encrypt_input c keys ~seed image))
 
-let infer_encrypted_batch ?scheduler ?request_ids c keys ~seed images =
+let infer_encrypted_batch ?request_ids c keys ~seed images =
   decrypt_batch c keys
-    (run_encrypted ?scheduler ?request_ids c keys ~seed (encrypt_batch c keys ~seed images))
+    (run_encrypted ?request_ids c keys ~seed (encrypt_batch c keys ~seed images))
 
 (* A resident runtime: the prepared VM lives across inferences, so weight
    plaintexts are encoded (embed + round + forward NTT) once ever instead
@@ -620,25 +587,17 @@ type runtime = {
   rt_compiled : compiled;
   rt_keys : Fhe.Keys.t;
   rt_vm : Ace_codegen.Vm.t;
-  rt_scheduler : scheduler;
 }
 
-let make_runtime ?telemetry ?scheduler c keys ~seed =
+let make_runtime ?telemetry c keys ~seed =
   (match telemetry with
   | Some cfg -> Ace_telemetry.Telemetry.configure cfg
   | None -> ());
-  let scheduler = match scheduler with Some s -> s | None -> default_scheduler () in
-  let rt_vm =
-    Ace_codegen.Vm.prepare ~cache_plaintexts:true ~keys ~bootstrap:(make_bootstrap keys ~seed)
-      c.ckks
-  in
-  { rt_compiled = c; rt_keys = keys; rt_vm; rt_scheduler = scheduler }
+  { rt_compiled = c; rt_keys = keys; rt_vm = prepare_vm ~cache_plaintexts:true c keys ~seed }
 
-let runtime_scheduler rt = rt.rt_scheduler
 let runtime_vm rt = rt.rt_vm
 
-let start_rt ?request_ids rt ct =
-  start_vm ?request_ids ~scheduler:rt.rt_scheduler rt.rt_compiled rt.rt_vm ct
+let start_rt ?request_ids rt ct = start_vm ?request_ids rt.rt_compiled rt.rt_vm ct
 
 let run_encrypted_rt ?request_ids rt ct = run_to_end (start_rt ?request_ids rt ct)
 

@@ -143,21 +143,6 @@ val runtime_domains : unit -> int
     (the [ACE_DOMAINS] knob; see lib/util/domain_pool.mli). Compilation
     itself is sequential — this only affects [run_encrypted] and friends. *)
 
-type scheduler =
-  | Seq  (** program order, one node at a time (the baseline executor) *)
-  | Wavefront
-      (** dataflow-parallel: {!Ace_codegen.Vm.run_parallel} over the
-          {!Ace_codegen.Sched} wavefront partition. Bit-identical to [Seq]
-          for any pool size. *)
-
-val scheduler_name : scheduler -> string
-(** ["seq"] / ["wavefront"] — the [ACE_SCHED] spellings. *)
-
-val default_scheduler : unit -> scheduler
-(** The [ACE_SCHED] environment knob ([seq] (default) | [wavefront]),
-    mirroring [ACE_DOMAINS]: an ambient default that explicit [?scheduler]
-    arguments override. *)
-
 (** {1 Client/server protocol helpers (paper Figure 2)} *)
 
 val make_keys : compiled -> seed:int -> Ace_fhe.Keys.t
@@ -174,11 +159,20 @@ val encrypt_batch :
     [2r] and [2r+1] in region [r]'s real and imaginary parts, encoded as
     [(a+ib)/2]. @raise Invalid_argument on a count mismatch. *)
 
+val prepare_vm :
+  ?cache_plaintexts:bool -> compiled -> Ace_fhe.Keys.t -> seed:int -> Ace_codegen.Vm.t
+(** The one place a VM is prepared ({!run_encrypted}, {!make_runtime} and
+    {!Debug_runner} all come here): check the CKKS function with
+    {!Ace_verify.Verifier.ckks} against the keys' context, whatever
+    [ACE_VERIFY] says, then {!Ace_codegen.Vm.prepare} it with the
+    recryption oracle seeded by [seed].
+    @raise Ace_verify.Verifier.Rejected on any diagnostic. *)
+
 val run_encrypted :
-  ?scheduler:scheduler ->
   ?request_ids:string array ->
   compiled -> Ace_fhe.Keys.t -> seed:int -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
-(** [?scheduler] defaults to {!default_scheduler}[ ()].
+(** Prepare a throwaway VM ({!prepare_vm}) and run the ciphertext through
+    it, one node at a time in program order.
 
     [?request_ids] names the {!requests_per_ct} requests riding in the
     ciphertext (default ["r0".."r{k-1}"]; @raise Invalid_argument on a
@@ -204,7 +198,6 @@ val infer_encrypted :
 (** encrypt -> run -> decrypt, one image. *)
 
 val infer_encrypted_batch :
-  ?scheduler:scheduler ->
   ?request_ids:string array ->
   compiled -> Ace_fhe.Keys.t -> seed:int -> float array array -> float array array
 (** encrypt -> run -> decrypt for {!requests_per_ct} independent images
@@ -220,18 +213,13 @@ type runtime
     the VM each call and keep peak memory minimal. *)
 
 val make_runtime :
-  ?telemetry:Ace_telemetry.Telemetry.config ->
-  ?scheduler:scheduler -> compiled -> Ace_fhe.Keys.t -> seed:int -> runtime
+  ?telemetry:Ace_telemetry.Telemetry.config -> compiled -> Ace_fhe.Keys.t -> seed:int -> runtime
 (** [?telemetry] applies {!Ace_telemetry.Telemetry.configure} before the
-    VM is prepared — the programmatic equivalent of
-    [ACE_TRACE]/[ACE_METRICS]/[ACE_FLIGHT] for serving loops.
-    [?scheduler] (default {!default_scheduler}[ ()]) fixes the executor
-    every [run_encrypted_rt] call uses. *)
-
-val runtime_scheduler : runtime -> scheduler
+    VM is prepared ({!prepare_vm}) — the programmatic equivalent of
+    [ACE_TRACE]/[ACE_METRICS]/[ACE_FLIGHT] for serving loops. *)
 
 val runtime_vm : runtime -> Ace_codegen.Vm.t
-(** The resident VM (for {!Ace_codegen.Vm.schedule} occupancy reports). *)
+(** The resident VM, for callers that drive {!Ace_codegen.Vm} directly. *)
 
 val run_encrypted_rt :
   ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
@@ -251,8 +239,7 @@ val start_rt : ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> 
 val step : exec -> until:float -> Ace_fhe.Ciphertext.ct option
 (** Run one slice: whole nodes until the wall clock passes [until]
     ({!Ace_codegen.Vm.step}); [Some result] once the last node has run.
-    Under the [Wavefront] scheduler the first step runs the whole
-    execution. The [request.*] metrics and the [request.batch] span are
+    The [request.*] metrics and the [request.batch] span are
     recorded on completion: [request.latency] is the execution's own busy
     time (summed over its slices) divided by {!requests_per_ct}, and the
     [gc.*] deltas are summed over its slices only, so interleaved

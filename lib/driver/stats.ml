@@ -170,16 +170,14 @@ let calibration_of_snapshot (snap : Telemetry.snapshot) =
         else None)
       snap.Telemetry.snap_metrics
   in
-  (* Reference µs-per-unit: the sample-weighted mean over per-op
-     categories (the wavefront aggregate is a consumer of the model, not
-     a definer of its unit). A perfectly proportional cost model puts
-     every category's error ratio at 1.0. *)
-  let op_rows = List.filter (fun (c, _) -> c <> "wavefront") rows in
+  (* Reference µs-per-unit: the sample-weighted mean over categories. A
+     perfectly proportional cost model puts every category's error ratio
+     at 1.0. *)
   let wsum, wn =
     List.fold_left
       (fun (s, n) ((_, st) : string * Telemetry.metric_stats) ->
         (s +. st.Telemetry.st_total, n + st.Telemetry.st_count))
-      (0.0, 0) op_rows
+      (0.0, 0) rows
   in
   let reference = if wn = 0 then 0.0 else wsum /. float_of_int wn in
   let ratio v = if reference > 0.0 then v /. reference else 0.0 in

@@ -51,10 +51,10 @@ val to_json : t -> string
     table: the reference is the sample-weighted mean µs-per-unit across
     op categories, and each category's error ratio is its own µs-per-unit
     against that reference — 1.0 everywhere means the model's RATIOS
-    (the only thing {!Ace_codegen.Sched.decide} consumes) are exact. *)
+    (what the serving daemon's pick rule compares) are exact. *)
 
 type calibration_row = {
-  cal_category : string;  (** {!Ace_codegen.Sched.node_category}, or ["wavefront"] *)
+  cal_category : string;  (** {!Ace_codegen.Sched.node_category} *)
   cal_samples : int;
   cal_us_per_unit_p50 : float;
   cal_us_per_unit_p99 : float;
@@ -65,8 +65,8 @@ type calibration_row = {
 
 type calibration = {
   cal_reference_us_per_unit : float;
-      (** sample-weighted mean µs-per-unit over op categories (excludes
-          the [wavefront] aggregate); 0 when no samples *)
+      (** sample-weighted mean µs-per-unit over op categories; 0 when no
+          samples *)
   cal_rows : calibration_row list;  (** sorted by category name *)
 }
 

@@ -15,8 +15,8 @@ let refresh keys ~rng ~target_level ct =
 (* Randomness is derived from the caller-supplied ordinal (the VM passes
    the bootstrap's IR node id), not from an invocation counter: the same
    program bootstrapping the same node then draws the same rng whatever
-   the execution order or how many runs preceded it, which is what makes
-   sequential and wavefront execution bit-identical. *)
+   the execution order or how many runs preceded it, which is what keeps
+   interleaved executions of one VM bit-identical to solo runs. *)
 let refresh_impl keys ~seed ~ordinal ~target_level ct =
   let rng = Rng.create (seed + (1_000_003 * (ordinal + 1))) in
   refresh keys ~rng ~target_level ct

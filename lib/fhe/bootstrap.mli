@@ -22,4 +22,5 @@ val refresh_impl :
 (** Stateless wrapper for the VM: derives a deterministic rng from
     [(seed, ordinal)]. Callers pass a stable ordinal (the VM uses the IR
     node id) so results do not depend on invocation order — required for
-    the wavefront scheduler's bit-identity guarantee. *)
+    interleaved executions ({!Ace_codegen.Vm.step}) to stay bit-identical
+    to solo runs. *)

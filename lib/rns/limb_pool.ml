@@ -2,9 +2,7 @@
 
    Domain-local storage keeps acquire/release lock-free from inside
    [Domain_pool] bodies; releasing on a different domain than the
-   acquiring one just migrates the buffer (in practice the VM releases
-   on the main domain after the wavefront barrier, so migration is the
-   common case and is harmless).  Each bucket is depth-capped so a
+   acquiring one just migrates the buffer, which is harmless.  Each bucket is depth-capped so a
    burst of deep ciphertexts cannot pin unbounded memory. *)
 
 let env_flag name default =

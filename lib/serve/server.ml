@@ -329,7 +329,7 @@ let handle_put_keys t conn ~tenant ~model ~oracle_seed ~keys_blob =
         {
           sess_keys = keys;
           sess_oracle_seed = oracle_seed;
-          sess_runtime = Pipeline.make_runtime ~scheduler:Pipeline.Seq c keys ~seed:oracle_seed;
+          sess_runtime = Pipeline.make_runtime c keys ~seed:oracle_seed;
         }
       in
       Hashtbl.replace t.sessions (session_key tenant model) sess;
@@ -414,8 +414,7 @@ let handle_reload t conn ~model =
         match String.index_opt key '\x00' with
         | Some i when String.sub key (i + 1) (String.length key - i - 1) = model ->
           sess.sess_runtime <-
-            Pipeline.make_runtime ~scheduler:Pipeline.Seq compiled sess.sess_keys
-              ~seed:sess.sess_oracle_seed
+            Pipeline.make_runtime compiled sess.sess_keys ~seed:sess.sess_oracle_seed
         | _ -> ())
       t.sessions;
     send conn (Wire.Reloaded { model; from_cache = false })

@@ -16,9 +16,7 @@
     starting a queued group and continuing a running execution, by least
     predicted work left. A light request therefore waits for the slice
     in progress (which ends at the next node boundary) rather than for a
-    heavy execution's whole run.
-    Runtimes always use the sequential executor ([ACE_SCHED] does not
-    apply to the daemon). An execution whose clients have all
+    heavy execution's whole run. An execution whose clients have all
     disconnected is dropped between slices and its buffers go back to
     the pool.
 

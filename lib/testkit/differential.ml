@@ -20,7 +20,6 @@ type case = {
 }
 
 type outcome = {
-  scheduler : Pipeline.scheduler;
   domains : int;
   ct_out : Ciphertext.ct;
   output : float array;
@@ -73,7 +72,7 @@ let crypto_tolerance_for ~min_budget_bits =
     Float.max 1e-4 (Float.exp2 (-.min_budget_bits) *. 4.0)
   else 1e-4
 
-let run_case ~scheduler ~domains case =
+let run_case ~domains case =
   Domain_pool.set_num_domains domains;
   Fun.protect ~finally:(fun () -> Domain_pool.set_num_domains 1) @@ fun () ->
   let flight_was = Telemetry.flight_on () in
@@ -81,7 +80,7 @@ let run_case ~scheduler ~domains case =
   Telemetry.reset_flight ();
   Fun.protect ~finally:(fun () -> Telemetry.set_flight flight_was) @@ fun () ->
   let ct = Pipeline.encrypt_input case.compiled case.keys ~seed:7 case.input in
-  let ct_out = Pipeline.run_encrypted ~scheduler case.compiled case.keys ~seed:8 ct in
+  let ct_out = Pipeline.run_encrypted case.compiled case.keys ~seed:8 ct in
   let output = Pipeline.decrypt_output case.compiled case.keys ct_out in
   let min_budget_bits =
     (* Degree-2 records (anything touched inside a lazy-relin region) and
@@ -103,7 +102,6 @@ let run_case ~scheduler ~domains case =
     !worst
   in
   {
-    scheduler;
     domains;
     ct_out;
     output;
@@ -129,16 +127,12 @@ let check case outcome =
   else if outcome.crypto_err > outcome.crypto_tolerance then
     Error
       (Printf.sprintf
-         "seed %d (%s, %d domains): crypto error %.2e vs SIHE reference exceeds %.2e (budget %.1f bits)"
-         case.case_seed
-         (Pipeline.scheduler_name outcome.scheduler)
-         outcome.domains outcome.crypto_err outcome.crypto_tolerance outcome.min_budget_bits)
+         "seed %d (%d domains): crypto error %.2e vs SIHE reference exceeds %.2e (budget %.1f bits)"
+         case.case_seed outcome.domains outcome.crypto_err outcome.crypto_tolerance outcome.min_budget_bits)
   else if outcome.max_err > outcome.tolerance then
     Error
-      (Printf.sprintf "seed %d (%s, %d domains): max error %.5f exceeds tolerance %.5f"
-         case.case_seed
-         (Pipeline.scheduler_name outcome.scheduler)
-         outcome.domains outcome.max_err outcome.tolerance)
+      (Printf.sprintf "seed %d (%d domains): max error %.5f exceeds tolerance %.5f"
+         case.case_seed outcome.domains outcome.max_err outcome.tolerance)
   else Ok ()
 
 let ct_equal (a : Ciphertext.ct) (b : Ciphertext.ct) =
@@ -159,7 +153,6 @@ type batch_case = {
 }
 
 type batch_outcome = {
-  b_scheduler : Pipeline.scheduler;
   b_domains : int;
   b_ct_out : Ciphertext.ct;
   b_outputs : float array array;
@@ -185,11 +178,11 @@ let prepare_batch ?cfg ?(strategy = Pipeline.ace) ~seed ~batch () =
   { bc_seed = seed; bc_batch = batch; bc_compiled = compiled; bc_keys = keys;
     bc_inputs = inputs; bc_solo = solo }
 
-let run_batch_case ~scheduler ~domains bc =
+let run_batch_case ~domains bc =
   Domain_pool.set_num_domains domains;
   Fun.protect ~finally:(fun () -> Domain_pool.set_num_domains 1) @@ fun () ->
   let ct = Pipeline.encrypt_batch bc.bc_compiled bc.bc_keys ~seed:7 bc.bc_inputs in
-  let ct_out = Pipeline.run_encrypted ~scheduler bc.bc_compiled bc.bc_keys ~seed:8 ct in
+  let ct_out = Pipeline.run_encrypted bc.bc_compiled bc.bc_keys ~seed:8 ct in
   let outputs = Pipeline.decrypt_batch bc.bc_compiled bc.bc_keys ct_out in
   let worst = ref 0.0 in
   Array.iteri
@@ -199,7 +192,6 @@ let run_batch_case ~scheduler ~domains bc =
         out)
     outputs;
   {
-    b_scheduler = scheduler;
     b_domains = domains;
     b_ct_out = ct_out;
     b_outputs = outputs;
@@ -218,13 +210,10 @@ let check_batch bc o =
   else if o.b_worst_vs_solo > tol then
     Error
       (Printf.sprintf
-         "seed %d (%s, %d domains, batch %d): worst per-request gap %.2e vs unbatched exceeds %.0e"
-         bc.bc_seed
-         (Pipeline.scheduler_name o.b_scheduler)
-         o.b_domains bc.bc_batch o.b_worst_vs_solo tol)
+         "seed %d (%d domains, batch %d): worst per-request gap %.2e vs unbatched exceeds %.0e"
+         bc.bc_seed o.b_domains bc.bc_batch o.b_worst_vs_solo tol)
   else Ok ()
 
 let describe o =
-  Printf.sprintf "%s x%d: err %.5f (tol %.5f), crypto err %.2e (tol %.2e), budget %.1f bits"
-    (Pipeline.scheduler_name o.scheduler)
+  Printf.sprintf "x%d: err %.5f (tol %.5f), crypto err %.2e (tol %.2e), budget %.1f bits"
     o.domains o.max_err o.tolerance o.crypto_err o.crypto_tolerance o.min_budget_bits

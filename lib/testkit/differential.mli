@@ -1,13 +1,13 @@
 (** Differential testing: encrypted inference against the cleartext
-    reference, under every executor.
+    reference, at several domain-pool widths.
 
     A {!case} is one seeded random graph ({!Graph_gen}) compiled
     end-to-end (with the verifier on), its keys, one random input and two
     cleartext references: the exact NN output ({!Ace_nn.Nn_interp}) and
     the SIHE-level output ({!Ace_sihe.Sihe_interp}), which already
     contains the polynomial activation approximations but no encryption.
-    {!run_case} executes the case encrypted under a chosen scheduler and
-    domain-pool width with the ciphertext flight recorder on. {!check}
+    {!run_case} executes the case encrypted at a chosen domain-pool width
+    with the ciphertext flight recorder on. {!check}
     holds the run to two bounds: a tight one against the SIHE reference
     (pure crypto error, scaled from the flight recorder's observed
     noise-budget floor [2^-min_budget_bits]) and a loose gross-wrongness
@@ -15,7 +15,7 @@
     approximation error, which compounds through layers) — and requires
     that the noise budget never ran dry.
 
-    Different (scheduler, domains) runs of one case must also be
+    Runs of one case at different pool widths must also be
     bit-identical ({!ct_equal}); the differential suite checks both. *)
 
 type case = {
@@ -31,7 +31,6 @@ type case = {
 }
 
 type outcome = {
-  scheduler : Ace_driver.Pipeline.scheduler;
   domains : int;
   ct_out : Ace_fhe.Ciphertext.ct;
   output : float array;
@@ -48,8 +47,7 @@ val prepare :
     otherwise — the lazy on/off tier compiles both ways) and keygen;
     deterministic in [seed]. *)
 
-val run_case :
-  scheduler:Ace_driver.Pipeline.scheduler -> domains:int -> case -> outcome
+val run_case : domains:int -> case -> outcome
 (** Runs with the domain pool resized to [domains] (restored to 1 after)
     and the flight recorder enabled for the duration of the run. *)
 
@@ -66,8 +64,8 @@ val ct_equal : Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct -> bool
     each request's decrypted output compared against an unbatched
     (batch-1) encrypted run of the same input. The two compiles use their
     own default contexts — the property is per-request output agreement
-    within crypto tolerance, plus bit-identity across executor configs of
-    the batched run itself. *)
+    within crypto tolerance, plus bit-identity across pool widths of the
+    batched run itself. *)
 
 type batch_case = {
   bc_seed : int;
@@ -80,7 +78,6 @@ type batch_case = {
 }
 
 type batch_outcome = {
-  b_scheduler : Ace_driver.Pipeline.scheduler;
   b_domains : int;
   b_ct_out : Ace_fhe.Ciphertext.ct;
   b_outputs : float array array;
@@ -95,13 +92,11 @@ val prepare_batch :
 (** Deterministic in [seed]; runs the [batch] unbatched references at
     preparation time. *)
 
-val run_batch_case :
-  scheduler:Ace_driver.Pipeline.scheduler ->
-  domains:int -> batch_case -> batch_outcome
+val run_batch_case : domains:int -> batch_case -> batch_outcome
 
 val check_batch : batch_case -> batch_outcome -> (unit, string) result
 (** [Error] when any request's batched output strays more than the crypto
     tolerance from its unbatched reference. *)
 
 val describe : outcome -> string
-(** One line for test logs: scheduler/domains/error/tolerance/budget. *)
+(** One line for test logs: domains/error/tolerance/budget. *)

@@ -21,8 +21,8 @@ type pool = {
 }
 
 (* Oversubscription is honoured but flagged: more domains than cores just
-   time-slices the same silicon, and every wavefront barrier then waits on
-   a descheduled worker. Warned once — the knob is read once per process —
+   time-slices the same silicon, and every parallel loop's join then waits
+   on a descheduled worker. Warned once — the knob is read once per process —
    and counted so a fleet's telemetry can find misconfigured hosts. *)
 let warned_oversubscribed = ref false
 
@@ -59,7 +59,9 @@ let target_size () =
     requested := Some n;
     n
 
-(* A single running job at a time: nested calls fall back to sequential. *)
+(* A single running job at a time: a call made while a job runs (a
+   key-switch digit loop around per-limb NTTs, say) runs inline instead
+   of waiting on the pool it is already part of, which would deadlock. *)
 let busy = Atomic.make false
 
 let the_pool = ref None
@@ -204,23 +206,6 @@ let parallel_for ?(min_chunk = 1) n fn =
             done
           in
           run_job ~num_chunks chunk_fn)
-
-(* One claim per index: a pure work queue. Contiguous chunking assumes
-   neighbouring indices cost about the same, which is false for the VM
-   scheduler's wavefronts (a key-switch next to a free batch-get); unit
-   claims let a worker that drew a heavy node keep working on it while the
-   others drain the cheap tail, so the makespan tracks the LPT bound the
-   cost model assumes instead of the worst chunk sum. *)
-let parallel_each n fn =
-  if n <= 0 then ()
-  else if target_size () = 1 || n = 1 then run_seq n fn
-  else if not (Atomic.compare_and_set busy false true) then run_seq n fn
-  else
-    Fun.protect
-      ~finally:(fun () -> Atomic.set busy false)
-      (fun () -> run_job ~num_chunks:n fn)
-
-let in_parallel_region () = Atomic.get busy
 
 let init ?(min_chunk = 1) n f =
   if n = 0 then [||]

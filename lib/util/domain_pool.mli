@@ -34,19 +34,6 @@ val parallel_for : ?min_chunk:int -> int -> (int -> unit) -> unit
     microseconds — cannot dominate the loop body; results are identical
     either way. *)
 
-val parallel_each : int -> (int -> unit) -> unit
-(** [parallel_each n f] is [parallel_for n f] with one-index claims: every
-    index is a separate unit of work that idle domains race to take. Use
-    for heterogeneous task arrays (the VM scheduler's wavefronts, where one
-    index may cost a thousand times its neighbour); [parallel_for]'s
-    contiguous chunking is better for uniform numeric loops. Same
-    determinism, nesting and exception contract as [parallel_for]. *)
-
-val in_parallel_region : unit -> bool
-(** True while a pool job is executing (i.e. a call from this point would
-    fall back to inline sequential execution). Lets outer schedulers know
-    whether inner primitives will actually fan out. *)
-
 val init : ?min_chunk:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]: same contract as [parallel_for]. *)
 

@@ -22,7 +22,7 @@ type kind =
   | Missing_rotation_key  (** rotation step absent from the keygen plan *)
   | Batch_aliasing  (** ill-formed hoisted-rotation bundle access *)
   | Bootstrap_range  (** bootstrap target outside [1 .. chain depth] *)
-  | Schedule_violation  (** wavefront schedule breaks dataflow/liveness rules *)
+  | Schedule_violation  (** release plan breaks the liveness rules *)
 
 type t = {
   d_kind : kind;

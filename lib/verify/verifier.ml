@@ -203,7 +203,7 @@ let ckks ~pass ?plan ctx f =
         | _ -> ());
         (* The transfer function: expected (scale, level) from the
            operands' annotations, mirroring the lowering's own abstract
-           interpretation (Lower_sihe) and subsuming Scale_check. *)
+           interpretation (Lower_sihe). *)
         let expect =
           try
             match n.Irfunc.op with
@@ -306,7 +306,7 @@ let ckks ~pass ?plan ctx f =
 (* ---- schedules ---- *)
 
 (* [Sched.check] fails with messages of the form "sched: ...: node 17
-   (wave 3) reads ..."; recover the first node id after "node " so the
+   reads ..."; recover the first node id after "node " so the
    diagnostic stays machine-matchable. *)
 let node_of_message msg =
   let len = String.length msg in
@@ -400,9 +400,8 @@ let function_checks ~pass ?plan ?context f =
       let abstract = ckks ~pass ?plan ctx f in
       if abstract <> [] then abstract
       else
-        (* Same rules for both executors: the wavefront partition and the
-           sequential program order are schedules of the same function. *)
-        schedule ~pass f (Sched.analyze f) @ schedule ~pass f (Sched.sequential f)
+        (* The release plan the VM executes. *)
+        schedule ~pass f (Sched.plan f)
     | _ -> []
 
 let check_exn ~pass ?plan ?context f =

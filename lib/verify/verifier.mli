@@ -5,14 +5,14 @@
     level to the structural rules (def-before-use, single assignment,
     arity, per-opcode typing, level discipline). {!ckks} is an abstract
     interpreter over the (scale_bits, modulus level, limb count) lattice:
-    it re-derives every CKKS node's annotations from its operands' —
-    subsuming {!Ace_ckks_ir.Scale_check} — and additionally rejects
+    it re-derives every CKKS node's annotations from its operands' and
+    additionally rejects
     rotation steps absent from the keygen plan, ill-formed hoisted
     [C_rotate_batch] access, bootstrap targets outside the chain, and
     slot-capacity overflows. {!schedule} applies {!Ace_codegen.Sched.check}
-    — coverage, RAW ordering, barrier singletons, liveness — to any
-    schedule, and {!function_checks} verifies the wavefront and the
-    degenerate sequential schedule with the same rules.
+    — no return released, no double release, no use-after-free — to a
+    release plan, and {!function_checks} verifies the plan the VM
+    executes ({!Ace_codegen.Sched.plan}).
 
     All checks collect diagnostics instead of failing fast, and a
     corrupted program must never crash the verifier: internal exceptions
@@ -20,7 +20,9 @@
 
     {!Ace_driver.Pipeline.compile} invokes the verifier after every
     lowering stage when {!enabled} — the [ACE_VERIFY] environment knob,
-    on by default ([ACE_VERIFY=0] disables it for production serving). *)
+    on by default ([ACE_VERIFY=0] disables it for production serving).
+    {!Ace_driver.Pipeline.prepare_vm} runs {!ckks} before every VM is
+    prepared, whatever the knob says. *)
 
 exception Rejected of Diagnostic.t list
 (** Raised by the [_exn] entry points; carries every diagnostic found. *)
@@ -59,7 +61,7 @@ val function_checks :
   Ace_ir.Irfunc.t ->
   Diagnostic.t list
 (** [well_formed], then — for a structurally sound CKKS function with a
-    context — the abstract interpretation and both schedules. *)
+    context — the abstract interpretation and the release plan. *)
 
 val check_exn :
   pass:string ->

@@ -13,7 +13,8 @@ module Builder = Ace_onnx.Builder
 module Model = Ace_onnx.Model
 module Param_select = Ace_ckks_ir.Param_select
 module Lower_sihe = Ace_ckks_ir.Lower_sihe
-module Scale_check = Ace_ckks_ir.Scale_check
+module Verifier = Ace_verify.Verifier
+module Diagnostic = Ace_verify.Diagnostic
 module Ckks_fusion = Ace_ckks_ir.Ckks_fusion
 module Keygen_plan = Ace_ckks_ir.Keygen_plan
 module Poly_ir = Ace_poly_ir.Poly_ir
@@ -83,9 +84,29 @@ let compile_gemv strategy =
   let nn = Import.import (gemv_graph ()) in
   Pipeline.compile strategy nn
 
+(* The verifier's CKKS abstract interpretation must accept [f] with no
+   diagnostic at all. *)
+let ckks_clean ctx f =
+  match Verifier.ckks ~pass:"test" ctx f with
+  | [] -> ()
+  | ds -> Alcotest.failf "unexpected diagnostics: %s" (Verifier.errors_to_string ds)
+
+(* ... and must reject it with a [kind] diagnostic naming node [id]. *)
+let ckks_rejects ~what kind id ctx f =
+  let ds = Verifier.ckks ~pass:"test" ctx f in
+  if
+    not
+      (List.exists
+         (fun d -> d.Diagnostic.d_kind = kind && d.Diagnostic.d_node = Some id)
+         ds)
+  then
+    Alcotest.failf "%s: wanted [%s] naming node %%%d, got: %s" what
+      (Diagnostic.kind_name kind) id
+      (if ds = [] then "no diagnostics" else Verifier.errors_to_string ds)
+
 let test_ckks_scales_validate () =
   let c = compile_gemv Pipeline.ace in
-  Scale_check.check c.Pipeline.context c.Pipeline.ckks
+  ckks_clean c.Pipeline.context c.Pipeline.ckks
 (* compile itself checks, but be explicit *)
 
 let test_ckks_fusion_composes_rotations () =
@@ -108,9 +129,9 @@ let test_ckks_fusion_composes_rotations () =
         match n.Irfunc.op with Op.C_rotate k -> k :: acc | _ -> acc)
   in
   Alcotest.(check (list int)) "one composed rotation" [ 8 ] rots;
-  Scale_check.check ctx g
+  ckks_clean ctx g
 
-(* Scale_check edge cases: the checker must keep working on the IR the
+(* Verifier edge cases: the CKKS check must keep working on the IR the
    batching fusion pass actually produces, and must accept legal
    non-minimum bootstrap targets while rejecting out-of-range ones. *)
 
@@ -118,7 +139,7 @@ let annotate f id ~scale ~level =
   (Irfunc.node f id).Irfunc.scale <- scale;
   (Irfunc.node f id).Irfunc.node_level <- level
 
-let test_scale_check_rescale_after_batching () =
+let test_verifier_rescale_after_batching () =
   let ctx = Param_select.execution_context ~slots:32 () in
   let delta = Ace_fhe.Context.scale ctx and chain = Ace_fhe.Context.max_level ctx in
   let f = Irfunc.create ~name:"batched" ~level:Level.Ckks ~params:[ ("x", Types.Cipher) ] in
@@ -144,9 +165,9 @@ let test_scale_check_rescale_after_batching () =
   in
   Alcotest.(check bool) "fusion produced a rotate batch" true batched;
   (* Control: the fused function is still well-scaled. *)
-  Scale_check.check ctx g;
+  ckks_clean ctx g;
   (* Corrupt the rescale that now follows the batch: its scale claims the
-     divide never happened. Scale_check must name the node, not pass. *)
+     divide never happened. The verifier must name the node, not pass. *)
   let bad =
     Irfunc.fold g ~init:(-1) ~f:(fun acc n ->
         if n.Irfunc.op = Op.C_rescale then n.Irfunc.id else acc)
@@ -154,22 +175,11 @@ let test_scale_check_rescale_after_batching () =
   Alcotest.(check bool) "fused function kept its rescale" true (bad >= 0);
   let saved = (Irfunc.node g bad).Irfunc.scale in
   (Irfunc.node g bad).Irfunc.scale <- delta *. delta;
-  (try
-     Scale_check.check ctx g;
-     Alcotest.fail "mismatched rescale after batching went undetected"
-   with Scale_check.Bad_scales msg ->
-     Alcotest.(check bool)
-       "diagnostic names the rescale node" true
-       (let needle = Printf.sprintf "%%%d" bad in
-        let rec mem i =
-          i + String.length needle <= String.length msg
-          && (String.sub msg i (String.length needle) = needle || mem (i + 1))
-        in
-        mem 0));
+  ckks_rejects ~what:"mismatched rescale after batching" Diagnostic.Scale_mismatch bad ctx g;
   (Irfunc.node g bad).Irfunc.scale <- saved;
-  Scale_check.check ctx g
+  ckks_clean ctx g
 
-let test_scale_check_bootstrap_levels () =
+let test_verifier_bootstrap_levels () =
   let ctx = Param_select.execution_context ~slots:32 () in
   let delta = Ace_fhe.Context.scale ctx and chain = Ace_fhe.Context.max_level ctx in
   let boot_at target =
@@ -179,18 +189,18 @@ let test_scale_check_bootstrap_levels () =
     let b = Irfunc.add f (Op.C_bootstrap target) [| p |] Types.Cipher in
     annotate f b ~scale:delta ~level:target;
     Irfunc.set_returns f [ b ];
-    f
+    (f, b)
   in
   (* A bootstrap may land anywhere inside the chain, not only at the
      minimum level the ACE strategy prefers. *)
-  Scale_check.check ctx (boot_at (chain - 1));
-  Scale_check.check ctx (boot_at 1);
+  ckks_clean ctx (fst (boot_at (chain - 1)));
+  ckks_clean ctx (fst (boot_at 1));
   List.iter
     (fun target ->
-      try
-        Scale_check.check ctx (boot_at target);
-        Alcotest.failf "bootstrap target %d (chain %d) went undetected" target chain
-      with Scale_check.Bad_scales _ -> ())
+      let f, b = boot_at target in
+      ckks_rejects
+        ~what:(Printf.sprintf "bootstrap target %d (chain %d)" target chain)
+        Diagnostic.Bootstrap_range b ctx f)
     [ 0; -1; chain + 1 ]
 
 let test_expert_rotations_are_decomposed () =
@@ -425,8 +435,8 @@ let () =
           Alcotest.test_case "scales validate" `Quick test_ckks_scales_validate;
           Alcotest.test_case "rotation fusion" `Quick test_ckks_fusion_composes_rotations;
           Alcotest.test_case "rescale after rotate-batch fusion" `Quick
-            test_scale_check_rescale_after_batching;
-          Alcotest.test_case "bootstrap level range" `Quick test_scale_check_bootstrap_levels;
+            test_verifier_rescale_after_batching;
+          Alcotest.test_case "bootstrap level range" `Quick test_verifier_bootstrap_levels;
           Alcotest.test_case "expert decomposition" `Quick test_expert_rotations_are_decomposed;
           Alcotest.test_case "ACE fewer rotations" `Quick test_ace_fewer_rotations_than_expert;
           Alcotest.test_case "ACE fewer rescales" `Quick test_ace_fewer_rescales_than_expert;

@@ -1,14 +1,13 @@
 (* Property-based differential suite: seeded random graphs compiled
-   end-to-end (verifier on), run encrypted under {seq, wavefront} x
-   {1, 4 domains}, and held to three properties per graph:
+   end-to-end (verifier on), run encrypted at 1 and 4 domains, and held
+   to three properties per graph:
 
    1. the decoded output matches the cleartext NN reference within the
       case's predicted tolerance (approximation budget + the flight
       recorder's observed noise ceiling);
    2. the noise budget never runs dry mid-inference;
-   3. all four executor configurations produce bit-identical output
-      ciphertexts (the scheduler and the pool width are performance
-      knobs, never semantics).
+   3. both pool widths produce bit-identical output ciphertexts (the
+      pool width is a performance knob, never semantics).
 
    The quick tier (5 seeds) runs on every `dune runtest` and in CI; the
    remaining 20 seeds of the 25-graph suite run when ACE_DIFF_FULL=1 is
@@ -30,13 +29,7 @@ let full_tier_on () =
     | _ -> true)
   | None -> false
 
-let configs =
-  [
-    (Pipeline.Seq, 1);
-    (Pipeline.Seq, 4);
-    (Pipeline.Wavefront, 1);
-    (Pipeline.Wavefront, 4);
-  ]
+let domain_widths = [ 1; 4 ]
 
 let run_seed seed () =
   (* The verifier is part of the property: a graph that compiles with
@@ -44,9 +37,7 @@ let run_seed seed () =
   Verifier.set_enabled true;
   let case = Differential.prepare ~seed () in
   let outcomes =
-    List.map
-      (fun (scheduler, domains) -> Differential.run_case ~scheduler ~domains case)
-      configs
+    List.map (fun domains -> Differential.run_case ~domains case) domain_widths
   in
   List.iter
     (fun (o : Differential.outcome) ->
@@ -68,8 +59,8 @@ let run_seed seed () =
 
 (* Lazy-relinearisation tier: accumulation-tree graphs (wide Adds over
    ct*ct Mul products) compiled twice — lazy passes on (the ace default)
-   and off — and run under every executor config. Within each lazy
-   setting all four configs must be bit-identical and inside the noise
+   and off — and run at both pool widths. Within each lazy setting both
+   widths must be bit-identical and inside the noise
    bounds; across the settings only the op counts are compared (merging
    rescales reassociates RNS roundings, so bit-equality across settings
    is not a property), and on these graphs the lazy compile must
@@ -82,9 +73,7 @@ let run_lazy_seed seed () =
   in
   let check_setting label case =
     let outcomes =
-      List.map
-        (fun (scheduler, domains) -> Differential.run_case ~scheduler ~domains case)
-        configs
+      List.map (fun domains -> Differential.run_case ~domains case) domain_widths
     in
     List.iter
       (fun (o : Differential.outcome) ->
@@ -149,9 +138,9 @@ let graphs_cover_shapes () =
 
 (* Batch tier: the same graph compiled with ~batch:k, k independent
    random inputs in ONE ciphertext, per-request outputs against unbatched
-   encrypted runs — across {seq, wavefront} x {1, 4 domains} and with the
-   lazy passes both on and off. Batched runs of one compile must also stay
-   bit-identical across executor configs. *)
+   encrypted runs — at 1 and 4 domains and with the lazy passes both on
+   and off. Batched runs of one compile must also stay bit-identical
+   across pool widths. *)
 let run_batch_seed seed () =
   Verifier.set_enabled true;
   let batch = 4 in
@@ -160,9 +149,7 @@ let run_batch_seed seed () =
   in
   let check_setting label bc =
     let outcomes =
-      List.map
-        (fun (scheduler, domains) -> Differential.run_batch_case ~scheduler ~domains bc)
-        configs
+      List.map (fun domains -> Differential.run_batch_case ~domains bc) domain_widths
     in
     List.iter
       (fun (o : Differential.batch_outcome) ->
@@ -179,9 +166,7 @@ let run_batch_seed seed () =
               (Differential.ct_equal baseline.Differential.b_ct_out
                  o.Differential.b_ct_out)
           then
-            Alcotest.failf "seed %d (%s setting): batched %s x%d diverges bit-wise" seed
-              label
-              (Pipeline.scheduler_name o.Differential.b_scheduler)
+            Alcotest.failf "seed %d (%s setting): batched x%d diverges bit-wise" seed label
               o.Differential.b_domains)
         rest
     | [] -> assert false
@@ -191,7 +176,7 @@ let run_batch_seed seed () =
 
 let seed_case seed =
   Alcotest.test_case
-    (Printf.sprintf "seed %d: err bound + bit-identity (seq/wavefront x 1/4 domains)" seed)
+    (Printf.sprintf "seed %d: err bound + bit-identity (seq at 1/4 domains)" seed)
     `Slow (run_seed seed)
 
 let () =
@@ -208,7 +193,7 @@ let () =
           (fun seed ->
             Alcotest.test_case
               (Printf.sprintf
-                 "seed %d: 4-batched vs unbatched per-request (seq/wavefront x 1/4 domains, lazy on/off)"
+                 "seed %d: 4-batched vs unbatched per-request (1/4 domains, lazy on/off)"
                  seed)
               `Slow (run_batch_seed seed))
           [ 200; 201 ] );

@@ -5,7 +5,6 @@
 module Limb_pool = Ace_rns.Limb_pool
 module Differential = Ace_testkit.Differential
 module Graph_gen = Ace_testkit.Graph_gen
-module Pipeline = Ace_driver.Pipeline
 
 (* Every test that flips a pool knob restores the ambient setting, so the
    suite composes with any ACE_POOL / ACE_POOL_DEBUG environment. *)
@@ -147,29 +146,22 @@ let double_release_detected () =
 
 (* Pool on/off differential ---------------------------------------------- *)
 
-let configs =
-  [
-    (Pipeline.Seq, 1);
-    (Pipeline.Seq, 4);
-    (Pipeline.Wavefront, 1);
-    (Pipeline.Wavefront, 4);
-  ]
+let domain_widths = [ 1; 4 ]
 
-(* One compiled graph, every executor config, pool on and off: all eight
+(* One compiled graph at both pool widths, slab pool on and off: all four
    output ciphertexts must be bit-identical. [cfg] lets the accumulation
    generator in — its gemm layers re-extract rotation-batch elements, the
    exact aliasing shape that once broke the recycler. *)
 let run_pool_identity ?cfg seed () =
   Ace_verify.Verifier.set_enabled true;
   let case = Differential.prepare ?cfg ~seed () in
-  let run ~pooled (scheduler, domains) =
-    with_pool ~enabled:pooled ~debug:false @@ fun () ->
-    Differential.run_case ~scheduler ~domains case
+  let run ~pooled domains =
+    with_pool ~enabled:pooled ~debug:false @@ fun () -> Differential.run_case ~domains case
   in
   let outcomes =
     List.concat_map
       (fun c -> [ (true, run ~pooled:true c); (false, run ~pooled:false c) ])
-      configs
+      domain_widths
   in
   List.iter
     (fun (_, (o : Differential.outcome)) ->
@@ -216,7 +208,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case
-            "seed 0: pool on/off bit-identity (seq/wavefront x 1/4 domains)" `Slow
+            "seed 0: pool on/off bit-identity (seq at 1/4 domains)" `Slow
             (run_pool_identity 0);
           Alcotest.test_case
             "accumulation seed 100: duplicate batch_get extraction, pool on/off" `Slow

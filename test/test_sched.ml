@@ -1,9 +1,10 @@
-(* Wavefront scheduler: dependency analysis unit tests and the
-   bit-identity contract of Vm.run_parallel against the sequential
-   executor at several pool sizes (with and without bootstraps, with and
-   without the plaintext-encode cache). *)
+(* Release plan and resumable execution: Sched.plan's release sets on
+   hand-built graphs, the VM releasing exactly that plan, the plaintext
+   cache's transparency, and interleaved Vm.step executions against
+   Vm.run. *)
 module Domain_pool = Ace_util.Domain_pool
 module Rns_poly = Ace_rns.Rns_poly
+module Limb_pool = Ace_rns.Limb_pool
 module Sched = Ace_codegen.Sched
 module Vm = Ace_codegen.Vm
 module Pipeline = Ace_driver.Pipeline
@@ -13,20 +14,19 @@ module Import = Ace_nn.Import
 module Builder = Ace_onnx.Builder
 module Model = Ace_onnx.Model
 module Rng = Ace_util.Rng
+module Fhe = Ace_fhe
 open Ace_ir
 
 let with_domains n f =
   Domain_pool.set_num_domains n;
   Fun.protect ~finally:(fun () -> Domain_pool.set_num_domains 1) f
 
-let wave_of sched id =
-  let w = ref (-1) in
-  Array.iteri
-    (fun i nodes -> if Array.exists (( = ) id) nodes then w := i)
-    (Sched.wavefronts sched);
-  !w
+let with_slab_pool f =
+  let was = Limb_pool.enabled () in
+  Limb_pool.set_enabled true;
+  Fun.protect ~finally:(fun () -> Limb_pool.set_enabled was) f
 
-(* ---- dependency analysis on hand-built graphs ---- *)
+(* ---- the release plan on hand-built graphs ---- *)
 
 let test_diamond () =
   let f = Irfunc.create ~name:"diamond" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
@@ -35,61 +35,18 @@ let test_diamond () =
   let b = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
   let j = Irfunc.add f Op.C_add [| a; b |] (Types.Vec 8) in
   Irfunc.set_returns f [ j ];
-  let s = Sched.analyze f in
+  let s = Sched.plan f in
   Sched.check f s;
-  Alcotest.(check int) "three wavefronts" 3 (Array.length (Sched.wavefronts s));
-  Alcotest.(check bool) "diamond arms share a wavefront" true (wave_of s a = wave_of s b);
-  Alcotest.(check bool) "join strictly after arms" true (wave_of s j > wave_of s a);
-  Alcotest.(check int) "max_width is the diamond" 2 (Sched.max_width s);
-  (* Release sets: the param dies after the arms' wavefront, the arms after
-     the join's; the returned join is immortal. *)
+  (* The param dies after its last reader (the second arm), the arms
+     after the join; the returned join is never released. *)
   let free = Sched.free_after s in
-  Alcotest.(check bool) "param freed after arms" true
-    (Array.exists (( = ) p) free.(wave_of s a));
-  Alcotest.(check bool) "arms freed after join" true
-    (Array.exists (( = ) a) free.(wave_of s j) && Array.exists (( = ) b) free.(wave_of s j));
+  Alcotest.(check (array int)) "param freed after the second arm" [| p |] free.(b);
+  Alcotest.(check (array int)) "nothing freed after the first arm" [||] free.(a);
+  Alcotest.(check (array int)) "arms freed after join" [| a; b |] free.(j);
   Alcotest.(check bool) "return never freed" true
     (not (Array.exists (Array.exists (( = ) j)) free))
 
-let test_bootstrap_barrier () =
-  let f = Irfunc.create ~name:"barrier" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
-  let p = Irfunc.param f 0 in
-  let a = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
-  let bs = Irfunc.add f (Op.C_bootstrap 3) [| a |] (Types.Vec 8) in
-  (* [c] depends only on the param — dataflow would allow it beside [a] —
-     but it is appended after the bootstrap, so the barrier must push it
-     into a strictly later wavefront. *)
-  let c = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
-  let j = Irfunc.add f Op.C_add [| bs; c |] (Types.Vec 8) in
-  Irfunc.set_returns f [ j ];
-  let s = Sched.analyze f in
-  Sched.check f s;
-  let wb = wave_of s bs in
-  Alcotest.(check bool) "bootstrap wavefront is a barrier" true (Sched.is_barrier s wb);
-  Alcotest.(check int) "barrier is a singleton" 1 (Array.length (Sched.wavefronts s).(wb));
-  Alcotest.(check bool) "pre-barrier node before it" true (wave_of s a < wb);
-  Alcotest.(check bool) "post-barrier node after it, despite no data dep" true
-    (wave_of s c > wb);
-  Alcotest.(check bool) "barrier never Node_parallel" true
-    (Sched.decide s wb ~domains:8 = Sched.Sequential)
-
-let test_decide_modes () =
-  let f = Irfunc.create ~name:"modes" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
-  let p = Irfunc.param f 0 in
-  let rots = Array.init 8 (fun k -> Irfunc.add f (Op.C_rotate (k + 1)) [| p |] (Types.Vec 8)) in
-  let j = Irfunc.add f Op.C_add [| rots.(0); rots.(1) |] (Types.Vec 8) in
-  Irfunc.set_returns f [ j ];
-  let s = Sched.analyze f in
-  Sched.check f s;
-  let w = wave_of s rots.(0) in
-  Alcotest.(check bool) "8 independent key-switches go node-parallel" true
-    (Sched.decide s w ~domains:4 = Sched.Node_parallel);
-  Alcotest.(check bool) "domains=1 is always sequential" true
-    (Sched.decide s w ~domains:1 = Sched.Sequential);
-  Alcotest.(check bool) "singleton wavefront is sequential" true
-    (Sched.decide s (wave_of s j) ~domains:4 = Sched.Sequential)
-
-(* ---- bit-identity of run_parallel against run ---- *)
+(* ---- bit-identity and slab accounting ---- *)
 
 let gemv_graph () =
   let b = Builder.create "gemv" in
@@ -123,60 +80,73 @@ let check_ct_equal what (a : Ace_fhe.Ciphertext.ct) (b : Ace_fhe.Ciphertext.ct) 
         (Rns_poly.equal pa b.Ace_fhe.Ciphertext.polys.(i)))
     a.Ace_fhe.Ciphertext.polys
 
-let run_with c keys scheduler x =
+let run_with c keys x =
   let ct = Pipeline.encrypt_input c keys ~seed:7 x in
-  Pipeline.run_encrypted ~scheduler c keys ~seed:8 ct
+  Pipeline.run_encrypted c keys ~seed:8 ct
 
-let test_gemv_bit_identical () =
-  let c = Pipeline.compile Pipeline.ace (Import.import (gemv_graph ())) in
-  let keys = Pipeline.make_keys c ~seed:5 in
-  let rng = Rng.create 6 in
-  let x = Array.init 16 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let reference = with_domains 1 (fun () -> run_with c keys Pipeline.Seq x) in
-  List.iter
-    (fun d ->
-      let got = with_domains d (fun () -> run_with c keys Pipeline.Wavefront x) in
-      check_ct_equal (Printf.sprintf "wavefront at %d domains" d) reference got)
-    [ 1; 2; 4 ]
-
-(* A depth-5 context forces real bootstraps into the compiled function, so
-   this exercises the barrier path and the node-seeded recryption rng:
-   any order dependence in bootstrap randomness would break equality. *)
-let test_bootstrapped_bit_identical () =
-  let nn = Import.import (conv_relu_graph ()) in
-  let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
-  let c = Pipeline.compile ~context:ctx Pipeline.ace nn in
-  Alcotest.(check bool) "model bootstraps" true (Lower_sihe.bootstrap_count c.Pipeline.ckks > 0);
-  let keys = Pipeline.make_keys c ~seed:45 in
-  let rng = Rng.create 17 in
-  let x = Array.init 32 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let reference = with_domains 1 (fun () -> run_with c keys Pipeline.Seq x) in
-  List.iter
-    (fun d ->
-      let got = with_domains d (fun () -> run_with c keys Pipeline.Wavefront x) in
-      check_ct_equal (Printf.sprintf "bootstrapped wavefront at %d domains" d) reference got)
-    [ 2; 4 ]
-
-(* The resident runtime's plaintext-encode cache must be transparent under
-   both schedulers: first and second inference bit-identical to the
-   throwaway-VM path, whatever executor fills the cache. *)
+(* The resident runtime's plaintext-encode cache must be transparent at
+   both pool widths: first and second inference bit-identical to the
+   throwaway-VM path. *)
 let test_pt_cache_identity () =
   let c = Pipeline.compile Pipeline.ace (Import.import (gemv_graph ())) in
   let keys = Pipeline.make_keys c ~seed:5 in
   let rng = Rng.create 9 in
   let x = Array.init 16 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let reference = with_domains 1 (fun () -> run_with c keys Pipeline.Seq x) in
+  let reference = with_domains 1 (fun () -> run_with c keys x) in
   List.iter
-    (fun scheduler ->
-      with_domains 2 @@ fun () ->
-      let rt = Pipeline.make_runtime ~scheduler c keys ~seed:8 in
+    (fun domains ->
+      with_domains domains @@ fun () ->
+      let rt = Pipeline.make_runtime c keys ~seed:8 in
       let ct () = Pipeline.encrypt_input c keys ~seed:7 x in
       let first = Pipeline.run_encrypted_rt rt (ct ()) in
       let second = Pipeline.run_encrypted_rt rt (ct ()) in
-      let what = "pt-cache " ^ Pipeline.scheduler_name scheduler in
+      let what = Printf.sprintf "pt-cache at %d domains" domains in
       check_ct_equal (what ^ " first") reference first;
       check_ct_equal (what ^ " second (cache hit)") reference second)
-    [ Pipeline.Seq; Pipeline.Wavefront ]
+    [ 1; 2 ]
+
+(* The VM frees exactly Sched.plan: a rotation batch with one view that
+   nothing reads is released after its last read view's reader, so every
+   slab the run takes comes back. (A VM that treated the unread view as
+   pinning its batch would leak the batch's slabs.) *)
+let test_unread_view_releases_batch () =
+  with_slab_pool @@ fun () ->
+  let ctx = Param_select.execution_context ~slots:32 () in
+  let delta = Fhe.Context.scale ctx and chain = Fhe.Context.max_level ctx in
+  let f = Irfunc.create ~name:"unread-view" ~level:Level.Ckks ~params:[ ("x", Types.Cipher) ] in
+  let annotate id =
+    (Irfunc.node f id).Irfunc.scale <- delta;
+    (Irfunc.node f id).Irfunc.node_level <- chain
+  in
+  let p = Irfunc.param f 0 in
+  let rb = Irfunc.add f (Op.C_rotate_batch [| 1; 2 |]) [| p |] Types.Cipher in
+  let v0 = Irfunc.add f (Op.C_batch_get 0) [| rb |] Types.Cipher in
+  let unread = Irfunc.add f (Op.C_batch_get 1) [| rb |] Types.Cipher in
+  let out = Irfunc.add f Op.C_add [| v0; p |] Types.Cipher in
+  List.iter annotate [ p; rb; v0; unread; out ];
+  Irfunc.set_returns f [ out ];
+  let s = Sched.plan f in
+  Sched.check f s;
+  Alcotest.(check bool) "plan releases the batch after the read view's reader" true
+    (Array.mem rb (Sched.free_after s).(out));
+  let keys = Fhe.Keys.generate ctx ~rng:(Rng.create 3) ~rotations:[ 1; 2 ] in
+  let x = Array.init (Fhe.Context.slots ctx) (fun i -> float_of_int (i mod 7) /. 7.0) in
+  let ct =
+    Fhe.Eval.encrypt keys ~rng:(Rng.create 4)
+      (Fhe.Encoder.encode ctx ~level:chain ~scale:delta x)
+  in
+  let vm =
+    Vm.prepare ~keys ~bootstrap:(fun ~node:_ ~target_level:_ _ -> assert false) f
+  in
+  Limb_pool.reset_stats ();
+  (match Vm.run vm [ ct ] with
+  | [ o ] -> Fhe.Ciphertext.release o
+  | _ -> Alcotest.fail "expected one output");
+  let st = Limb_pool.stats () in
+  Alcotest.(check bool) "some slabs were used" true (st.Limb_pool.slab_hits + st.slab_misses > 0);
+  Alcotest.(check int) "slab acquires = releases + drops"
+    (st.Limb_pool.slab_hits + st.slab_misses)
+    (st.slab_releases + st.slab_dropped)
 
 (* ---- resumable execution: Vm.start / Vm.step / Vm.abort ---- *)
 
@@ -196,7 +166,7 @@ let check_interleaved_identity what c =
         Pipeline.encrypt_input c keys ~seed:(7 + i) x)
   in
   let vm () =
-    Pipeline.runtime_vm (Pipeline.make_runtime ~scheduler:Pipeline.Seq c keys ~seed:8)
+    Pipeline.runtime_vm (Pipeline.make_runtime c keys ~seed:8)
   in
   let reference = List.map (fun ct -> List.hd (Vm.run (vm ()) [ ct ])) cts in
   let shared = vm () in
@@ -246,14 +216,11 @@ let test_interleaved_bootstrapped () =
    (weight plaintexts cached), starting, stepping part-way and aborting
    leaves slab acquires = releases + drops. *)
 let test_abort_releases_slabs () =
-  let module Limb_pool = Ace_rns.Limb_pool in
-  let e0 = Limb_pool.enabled () in
-  Limb_pool.set_enabled true;
-  Fun.protect ~finally:(fun () -> Limb_pool.set_enabled e0) @@ fun () ->
+  with_slab_pool @@ fun () ->
   let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
   let c = Pipeline.compile ~context:ctx Pipeline.ace (Import.import (conv_relu_graph ())) in
   let keys = Pipeline.make_keys c ~seed:45 in
-  let rt = Pipeline.make_runtime ~scheduler:Pipeline.Seq c keys ~seed:8 in
+  let rt = Pipeline.make_runtime c keys ~seed:8 in
   let x = Array.make 32 0.25 in
   ignore (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x));
   let ct = Pipeline.encrypt_input c keys ~seed:7 x in
@@ -275,35 +242,35 @@ let test_abort_releases_slabs () =
   check_ct_equal "input intact" (Pipeline.run_encrypted_rt rt ct)
     (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x))
 
-(* Vm.schedule on a real compiled model: the validator must accept the
-   schedule the parallel executor will use. *)
+(* Sched.plan on a real compiled model: the validator must accept the
+   plan the VM executes. *)
 let test_compiled_schedule_checks () =
   let nn = Import.import (conv_relu_graph ()) in
   let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
   let c = Pipeline.compile ~context:ctx Pipeline.ace nn in
-  let s = Sched.analyze c.Pipeline.ckks in
+  let s = Sched.plan c.Pipeline.ckks in
   Sched.check c.Pipeline.ckks s;
-  Alcotest.(check bool) "some node-level parallelism exists" true (Sched.max_width s > 1)
+  Alcotest.(check bool) "some values are released" true
+    (Array.exists (fun vs -> Array.length vs > 0) (Sched.free_after s))
 
 let () =
   Alcotest.run "sched"
     [
       ( "analysis",
         [
-          Alcotest.test_case "diamond wavefronts and release sets" `Quick test_diamond;
-          Alcotest.test_case "bootstrap is a barrier" `Quick test_bootstrap_barrier;
-          Alcotest.test_case "cost-model mode decisions" `Quick test_decide_modes;
+          Alcotest.test_case "diamond release sets" `Quick test_diamond;
           Alcotest.test_case "compiled model schedule validates" `Quick
             test_compiled_schedule_checks;
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "gemv: wavefront = seq at 1/2/4 domains" `Quick
-            test_gemv_bit_identical;
-          Alcotest.test_case "bootstrapped model: wavefront = seq" `Quick
-            test_bootstrapped_bit_identical;
-          Alcotest.test_case "plaintext cache transparent under both schedulers" `Quick
+          Alcotest.test_case "plaintext cache transparent under both pool widths" `Quick
             test_pt_cache_identity;
+        ] );
+      ( "release",
+        [
+          Alcotest.test_case "unread batch view: every slab comes back" `Quick
+            test_unread_view_releases_batch;
         ] );
       ( "resumable",
         [

@@ -4,7 +4,7 @@
    real compiled pipelines (every stage, every level). The mutation tests
    are the reason the verifier exists: each corrupts one thing a bug could
    plausibly corrupt — a rescale annotation, a planned rotation key, the
-   order of two wavefront nodes — and demands a *typed* diagnostic naming
+   point where a value is released — and demands a *typed* diagnostic naming
    the offending IR node, never a crash and never a silent pass. *)
 
 module Verifier = Ace_verify.Verifier
@@ -127,40 +127,40 @@ let drop_rotation_key () =
     ~what:(Printf.sprintf "plan without step %d" step)
     Diagnostic.Missing_rotation_key n ds
 
-(* -- mutation 3: swap two wavefront nodes ---------------------------- *)
+(* -- mutation 3: release a value before its last reader --------------- *)
 
-let swap_wavefront_nodes () =
+let early_release () =
   let f = ckks_fn () in
-  let s = Sched.analyze f in
-  let waves = Sched.wavefronts s in
-  if Array.length waves < 3 then Alcotest.fail "test model has < 3 wavefronts";
-  (* A node in the last wavefront has a predecessor in the one before it;
-     hoisting it into wavefront 0 puts the read before the write. *)
-  let last = Array.length waves - 1 in
-  let a = waves.(0).(0) and b = waves.(last).(0) in
-  waves.(0).(0) <- b;
-  waves.(last).(0) <- a;
+  let s = Sched.plan f in
+  let free = Sched.free_after s in
+  (* Some value released after node [c] ([c] is its last reader) is moved
+     to the release set of node [c - 1], which still runs before [c]. *)
+  let c =
+    let found = ref (-1) in
+    Array.iteri
+      (fun at vs -> if !found < 0 && at > 0 && Array.exists (fun v -> v < at) vs then found := at)
+      free;
+    if !found < 0 then Alcotest.fail "test model releases nothing";
+    !found
+  in
+  let saved_c = free.(c) and saved_prev = free.(c - 1) in
+  let v = List.find (fun v -> v < c) (Array.to_list saved_c) in
+  free.(c) <- Array.of_list (List.filter (( <> ) v) (Array.to_list saved_c));
+  free.(c - 1) <- Array.append saved_prev [| v |];
   Fun.protect ~finally:(fun () ->
-      waves.(0).(0) <- a;
-      waves.(last).(0) <- b)
+      free.(c) <- saved_c;
+      free.(c - 1) <- saved_prev)
   @@ fun () ->
   let ds = Verifier.schedule ~pass:"mutated" f s in
-  match List.find_opt (fun d -> d.Diagnostic.d_kind = Diagnostic.Schedule_violation) ds with
-  | None ->
-    Alcotest.failf "swapped wavefront nodes %%%d<->%%%d went undetected" a b
-  | Some d ->
-    if d.Diagnostic.d_node = None then
-      Alcotest.failf "schedule violation reported without a node: %s"
-        (Diagnostic.to_string d)
+  expect_diag
+    ~what:(Printf.sprintf "%%%d released before its reader %%%d" v c)
+    Diagnostic.Schedule_violation (Irfunc.node f c) ds
 
-let clean_schedule_both () =
+let clean_release_plan () =
   let f = ckks_fn () in
-  (match Verifier.schedule ~pass:"sched" f (Sched.analyze f) with
+  match Verifier.schedule ~pass:"sched" f (Sched.plan f) with
   | [] -> ()
-  | ds -> Alcotest.failf "wavefront: %s" (Verifier.errors_to_string ds));
-  match Verifier.schedule ~pass:"sched" f (Sched.sequential f) with
-  | [] -> ()
-  | ds -> Alcotest.failf "sequential: %s" (Verifier.errors_to_string ds)
+  | ds -> Alcotest.failf "release plan: %s" (Verifier.errors_to_string ds)
 
 (* -- structural rules on hand-built functions ------------------------ *)
 
@@ -217,7 +217,7 @@ let () =
           Alcotest.test_case "all five stages verify with zero diagnostics" `Quick
             clean_all_stages;
           Alcotest.test_case "check_exn passes on a clean model" `Quick clean_check_exn;
-          Alcotest.test_case "both schedules verify" `Quick clean_schedule_both;
+          Alcotest.test_case "release plan verifies" `Quick clean_release_plan;
         ] );
       ( "mutation-smoke",
         [
@@ -227,8 +227,7 @@ let () =
             corrupt_rescale_level;
           Alcotest.test_case "dropped rotation key -> Missing_rotation_key" `Quick
             drop_rotation_key;
-          Alcotest.test_case "swapped wavefront nodes -> Schedule_violation" `Quick
-            swap_wavefront_nodes;
+          Alcotest.test_case "early release -> Schedule_violation" `Quick early_release;
         ] );
       ( "structural",
         [

@@ -4,11 +4,6 @@
    array of complete events with numeric ts/dur/tid, and (with --min-tids)
    spans from at least that many distinct domains.
 
-   --min-tids-for PREFIX N applies the same distinct-tid floor to the
-   subset of spans whose name starts with PREFIX. CI uses it to prove the
-   wavefront scheduler really spread per-node "vm." spans over more than
-   one worker domain, independently of the limb-level "fhe.worker" spans.
-
    --count-of NAME validates as usual but then prints only the number of
    events named exactly NAME, so shell scripts can compare op counts
    across traces (CI asserts the fhe.relinearize count drops between an
@@ -19,8 +14,8 @@
    is silently truncated). Traces from before the member existed count
    as zero drops.
 
-     check_trace TRACE.json [--min-tids N] [--min-tids-for PREFIX N]
-                 [--require NAME] [--count-of NAME] [--no-drops] *)
+     check_trace TRACE.json [--min-tids N] [--require NAME] [--count-of NAME]
+                 [--no-drops] *)
 
 module Json = Ace_telemetry.Json_lite
 
@@ -29,7 +24,6 @@ let die fmt = Printf.ksprintf (fun m -> prerr_endline ("check_trace: " ^ m); exi
 let () =
   let path = ref None in
   let min_tids = ref 1 in
-  let min_tids_for = ref [] in
   let required = ref [] in
   let count_of = ref None in
   let no_drops = ref false in
@@ -37,9 +31,6 @@ let () =
     | [] -> ()
     | "--min-tids" :: v :: rest ->
       min_tids := int_of_string v;
-      parse_args rest
-    | "--min-tids-for" :: prefix :: v :: rest ->
-      min_tids_for := (prefix, int_of_string v) :: !min_tids_for;
       parse_args rest
     | "--require" :: name :: rest ->
       required := name :: !required;
@@ -77,13 +68,6 @@ let () =
   end;
   let tids = Hashtbl.create 8 in
   let names = Hashtbl.create 64 in
-  let prefix_tids =
-    List.map (fun (prefix, n) -> (prefix, n, Hashtbl.create 8)) !min_tids_for
-  in
-  let starts_with ~prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
   List.iteri
     (fun i ev ->
       let str k =
@@ -103,20 +87,11 @@ let () =
       ignore (str "cat");
       if num "ts" < 0.0 then die "%s: event %d: negative ts" path i;
       if num "dur" < 0.0 then die "%s: event %d: negative dur" path i;
-      Hashtbl.replace tids (num "tid") ();
-      List.iter
-        (fun (prefix, _, tbl) ->
-          if starts_with ~prefix (str "name") then Hashtbl.replace tbl (num "tid") ())
-        prefix_tids)
+      Hashtbl.replace tids (num "tid") ())
     events;
   let distinct_tids = Hashtbl.length tids in
   if distinct_tids < !min_tids then
     die "%s: %d distinct tids, need >= %d" path distinct_tids !min_tids;
-  List.iter
-    (fun (prefix, n, tbl) ->
-      if Hashtbl.length tbl < n then
-        die "%s: %d distinct tids on %s* spans, need >= %d" path (Hashtbl.length tbl) prefix n)
-    prefix_tids;
   List.iter
     (fun name -> if not (Hashtbl.mem names name) then die "%s: no span named %s" path name)
     !required;

@@ -40,20 +40,6 @@ for d in 1 4; do
     --require fhe.rotate --require key_switch.basis --require compile.ckks
 done
 
-# Scheduler smoke: the same inference under the wavefront executor must
-# still pass the trace checks AND prove actual node-level fan-out — per-
-# node "vm." spans on more than one worker tid, plus the scheduler's own
-# wavefront spans.  (Bit-identity of the outputs is covered by
-# test_sched; this guards the telemetry/scheduling integration.)
-echo "== wavefront scheduler smoke, ACE_SCHED=wavefront ACE_DOMAINS=2 =="
-trace="/tmp/ace_trace_wavefront.json"
-rm -f "$trace"
-ACE_SCHED=wavefront ACE_DOMAINS=2 ACE_TRACE="$trace" \
-  dune exec examples/quickstart.exe >/dev/null
-dune exec tools/check_trace.exe -- "$trace" --min-tids 2 --no-drops \
-  --min-tids-for vm. 2 \
-  --require sched.wavefront --require fhe.rotate --require compile.ckks
-
 # Lazy-pass smoke matrix: the accumulation-tree model (the degree-2
 # workload) at every {ACE_LAZY} x {ACE_DOMAINS} combination with the
 # verifier on, each run traced.
@@ -122,11 +108,11 @@ done
 echo "== metrics flush smoke, ACE_BATCH=4 ACE_METRICS_INTERVAL=0.2 =="
 mfile="/tmp/ace_metrics_ci.jsonl"
 rm -f "$mfile"
-ACE_SCHED=wavefront ACE_BATCH=4 ACE_METRICS_INTERVAL=0.2 ACE_METRICS_PATH="$mfile" \
+ACE_BATCH=4 ACE_METRICS_INTERVAL=0.2 ACE_METRICS_PATH="$mfile" \
   dune exec examples/batch_infer.exe >/dev/null
 dune exec tools/ace_report.exe -- "$mfile" \
   --require request.latency --require request.per_ct \
-  --require-prefix calib. --require calib.wavefront \
+  --require-prefix calib. \
   --min-count request.latency 4 --min-count request.count 4
 
 # Cross-process merge: a second flushed run appends to the same JSONL (a
@@ -240,8 +226,7 @@ dune exec tools/ace_report.exe -- "$smetrics2" \
   --require serve.queue_wait --require serve.exec_wall --require serve.slices
 
 # Differential quick tier: 5 seeded random graphs, encrypted vs cleartext
-# under {seq, wavefront} x {1, 4 domains} with bit-identity across all
-# four.  (The full 25-graph suite runs with ACE_DIFF_FULL=1; CI keeps the
+# at 1 and 4 domains with bit-identity across both.  (The full 25-graph suite runs with ACE_DIFF_FULL=1; CI keeps the
 # quick tier mandatory.)
 echo "== differential quick tier =="
 ACE_VERIFY=1 dune exec test/test_differential.exe
