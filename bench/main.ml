@@ -791,24 +791,24 @@ let json_bench ?(path = "BENCH_pr9.json") () =
   Printf.printf "fhe.key_switch tail: max %.4fs p50 %.4fs ratio %.1fx (bound %.0fx)\n%!"
     ks_max ks_p50 ks_ratio tail_bound;
   let stats_json = Stats.to_json (Stats.of_compiled (compiled Pipeline.ace Resnet.resnet20)) in
-  (* Cost-model accountability: the VM recorded a measured-µs-per-
-     predicted-unit sample for every node it executed during the resnet20
-     inference window; the folded table says how far Sched.node_cost's
-     RATIOS are from reality, per op category. *)
+  (* Cost-model accountability: the VM recorded a measured/predicted
+     sample for every node it executed during the resnet20 inference
+     window; the folded table says how far Sched.node_ns is from
+     reality, per op category. *)
   let calibration =
     match infer_results with
     | (_, _, snap, _) :: _ -> Stats.calibration_of_snapshot snap
-    | [] -> { Stats.cal_reference_us_per_unit = 0.0; cal_rows = [] }
+    | [] -> { Stats.cal_reference_ratio = 0.0; cal_rows = [] }
   in
-  Printf.printf "cost model reference: %.2f us/unit across %d categories\n%!"
-    calibration.Stats.cal_reference_us_per_unit
+  Printf.printf "cost model reference: measured/predicted %.2f across %d categories\n%!"
+    calibration.Stats.cal_reference_ratio
     (List.length calibration.Stats.cal_rows);
   List.iter
     (fun (r : Stats.calibration_row) ->
       Printf.printf
-        "calib %-12s n=%-5d us/unit p50=%8.2f p99=%8.2f mean=%8.2f error-ratio p50=%.2f\n%!"
-        r.Stats.cal_category r.Stats.cal_samples r.Stats.cal_us_per_unit_p50
-        r.Stats.cal_us_per_unit_p99 r.Stats.cal_us_per_unit_mean r.Stats.cal_error_ratio_p50)
+        "calib %-12s n=%-5d measured/predicted p50=%8.2f p99=%8.2f mean=%8.2f error-ratio p50=%.2f\n%!"
+        r.Stats.cal_category r.Stats.cal_samples r.Stats.cal_ratio_p50
+        r.Stats.cal_ratio_p99 r.Stats.cal_ratio_mean r.Stats.cal_error_ratio_p50)
     calibration.Stats.cal_rows;
   let calibration_json = Stats.calibration_to_json calibration in
   (* Instrumentation-overhead gate: the serving-telemetry rebuild (sketch

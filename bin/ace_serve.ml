@@ -78,7 +78,11 @@ let strategy_t = Arg.(value & opt strategy_conv Pipeline.ace & info [ "strategy"
 let batch_t = Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N")
 let complex_t = Arg.(value & flag & info [ "complex" ])
 let max_queue_t = Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N")
-let max_units_t = Arg.(value & opt float 1e12 & info [ "max-units" ] ~docv:"F")
+let max_units_t =
+  Arg.(
+    value & opt float 1e12
+    & info [ "max-units" ] ~docv:"F"
+        ~doc:"Admission cap on the predicted work of the queued requests, in nanoseconds.")
 
 let cmd =
   let doc = "persistent encrypted-inference daemon" in

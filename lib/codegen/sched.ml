@@ -4,48 +4,107 @@ type t = int array array
 
 let free_after t = t
 
-(* Cost model: weights are "limbs of pointwise work" — one unit is one
-   O(N) pass over a residue row. Calibrated against the telemetry p50s of
-   BENCH_pr3 (key_switch 3.6ms at ~8 limbs ~ limbs^2 units of ~50us; add
-   0.13ms ~ half a unit). Only the RATIOS matter: the serving daemon
-   compares executions' remaining units against each other. *)
-let node_cost (n : Irfunc.node) =
-  let limbs = float_of_int (max 1 (n.Irfunc.node_level + 1)) in
+(* Cost model: nanoseconds on one domain. A node costs a fixed overhead
+   (dispatch, timing, value bookkeeping) plus the RNS kernels it runs,
+   counted off Eval in rows (one residue row of N coefficients each). A
+   row costs a per-row overhead (pool acquire, loop and pool dispatch)
+   plus N times the kernel's cost per coefficient; an NTT row's cost per
+   coefficient is a cost per butterfly stage times log2 N.
+
+   The constants were measured on the benchmark host (2-core x86-64,
+   OCaml 5.1, ACE_DOMAINS=1, no tracing). Per kernel: one residue row
+   timed alone, best of five 50 ms batches, at N = 2^5, 2^8 and 2^11.
+   Then per node: every node of a resident gemv:16:4 (N = 2^5) and
+   resnet:8:10:8:4 (N = 2^11) execution, stepped one piece at a time,
+   its busy time set against its kernel counts. Inside an execution the
+   kernels run 1.2x (NTT, lift, mul-acc: the key digits no longer fit in
+   cache) to 3x (plaintext products, which read cold cached plaintexts)
+   slower than alone, so the constants below are the in-execution ones;
+   the bootstrap oracle (decrypt, decode, encode, encrypt) is priced
+   whole, per limb of its target level. *)
+type kernel =
+  | Ntt_fwd
+  | Ntt_inv
+  | Lift  (** centered digit lift into another prime *)
+  | Mac  (** Shoup multiply-accumulate against a key row *)
+  | Gather_mac  (** the same through an automorphism permutation *)
+  | Pmul  (** pointwise product *)
+  | Sub_mul  (** mod-down's subtract and multiply *)
+  | Add
+  | Automorphism
+  | Copy
+  | Fill
+  | Encode  (** slot embedding and rounding (the NTTs are counted apart) *)
+  | Bootstrap  (** the bootstrap oracle, per limb *)
+
+let row_ns = 100.0
+let node_fixed_ns = 1000.0
+
+let coef_ns ~lg = function
+  | Ntt_fwd -> 6.0 *. lg
+  | Ntt_inv -> 5.5 *. lg
+  | Lift -> 2.2
+  | Mac -> 10.5
+  | Gather_mac -> 11.0
+  | Pmul -> 8.5
+  | Sub_mul -> 7.5
+  | Add -> 10.0
+  | Automorphism -> 1.0
+  | Copy -> 2.5
+  | Fill -> 1.0
+  | Encode -> 40.0
+  | Bootstrap -> 500.0
+
+(* [work c n]: the kernel rows of node [n], each weighted by [c]. *)
+let work ~cached_encodes c (n : Irfunc.node) =
+  let l = float_of_int (max 1 (n.Irfunc.node_level + 1)) in
+  let comps = if Types.equal n.Irfunc.ty Types.Cipher3 then 3.0 else 2.0 in
+  (* divide an extended-basis accumulator by the special prime *)
+  let mod_down = c Ntt_inv +. (l *. (c Lift +. c Ntt_fwd +. c Sub_mul)) in
+  (* to_coeff of the operand, then per basis position lift (or copy)
+     and NTT every digit *)
+  let decompose =
+    (l *. (c Copy +. c Ntt_inv))
+    +. (l *. (l +. 1.0) *. c Ntt_fwd)
+    +. (l *. l *. c Lift)
+    +. (l *. c Copy)
+  in
+  let accumulate mac = (2.0 *. l *. (l +. 1.0) *. c mac) +. (2.0 *. (l +. 1.0) *. c Fill) +. (2.0 *. mod_down) in
+  let key_switch = decompose +. accumulate Mac in
+  let encode = c Encode +. (l *. c Ntt_fwd) in
   match n.Irfunc.op with
-  | Op.C_relin | Op.C_rotate _ | Op.C_conj ->
-    (* gadget decompose: limbs digits x (lift + NTT) per basis row, then
-       the mod-down — quadratic in limbs, the dominant runtime op *)
-    ((limbs +. 1.0) *. limbs *. 2.0) +. (4.0 *. limbs)
+  | Op.C_relin -> key_switch +. (2.0 *. l *. c Add)
+  | Op.C_rotate _ | Op.C_conj -> key_switch +. (2.0 *. l *. c Automorphism) +. (l *. c Add)
   | Op.C_rotate_batch steps ->
-    (* one hoisted decompose (quadratic) + per step: permuted mul-acc over
-       the extended basis and one mod-down (linear-ish in limbs) *)
-    ((limbs +. 1.0) *. limbs *. 2.0)
-    +. (float_of_int (Array.length steps) *. 4.0 *. limbs)
-  | Op.C_mul -> 8.0 *. limbs (* 4 NTT-domain tensor products + flips *)
-  | Op.C_mul_i -> 1.0 *. limbs (* pointwise monomial product per component *)
-  | Op.C_rescale -> 4.0 *. limbs (* coeff flip, exact division, NTT flip *)
-  | Op.C_encode | Op.C_encode_pair -> 3.0 *. limbs (* embed + round + forward NTT *)
-  | Op.C_upscale _ -> 4.0 *. limbs (* encode ones + mul_plain *)
-  | Op.C_add | Op.C_sub | Op.C_neg ->
-    (* BENCH_pr8 calibration: calib.add error_ratio_p50 1.578 against the
-       key_switch anchor — adds cost more than half a unit once loop
-       overhead is charged. *)
-    0.8 *. limbs
-  | Op.C_mod_switch | Op.C_downscale _ | Op.C_batch_get _ -> 0.05
-  | Op.C_bootstrap _ ->
-    (* decrypt + decode + encode + encrypt through the oracle. BENCH_pr8
-       measured calib.bootstrap error_ratio_p50 0.3945: the oracle costs
-       ~0.4x the old 40-unit guess. *)
-    16.0 *. limbs
-  | Op.Param _ | Op.Weight _ | Op.Const_scalar _ -> 0.0
-  | _ -> 0.05 (* surviving cleartext vector ops: host float loops *)
+    decompose
+    +. float_of_int (Array.length steps)
+       *. (accumulate Gather_mac +. (l *. c Automorphism) +. (l *. c Add))
+  | Op.C_mul when comps = 3.0 -> (4.0 *. l *. c Pmul) +. (l *. c Add) (* ciphertext product *)
+  | Op.C_mul | Op.C_mul_i -> comps *. l *. c Pmul
+  | Op.C_rescale -> comps *. (c Copy +. c Ntt_inv +. (l *. (c Lift +. c Ntt_fwd +. c Sub_mul)))
+  | Op.C_encode | Op.C_encode_pair -> if cached_encodes then 0.0 else encode
+  | Op.C_upscale _ -> encode +. (comps *. l *. c Pmul)
+  | Op.C_add | Op.C_sub | Op.C_neg -> comps *. l *. c Add
+  | Op.C_mod_switch | Op.C_downscale _ -> comps *. l *. c Copy
+  | Op.C_bootstrap _ -> (l +. 1.0) *. c Bootstrap
+  | _ -> 0.0 (* parameters, constants, views, cleartext vector ops *)
+
+let log2_degree ring_degree =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
+  float_of_int (go 0 ring_degree)
+
+let node_ns ~ring_degree ~cached_encodes n =
+  let lg = log2_degree ring_degree and coefs = float_of_int ring_degree in
+  node_fixed_ns +. work ~cached_encodes (fun k -> row_ns +. (coefs *. coef_ns ~lg k)) n
+
+let func_ns ~ring_degree ~cached_encodes f =
+  Irfunc.fold f ~init:0.0 ~f:(fun acc n -> acc +. node_ns ~ring_degree ~cached_encodes n)
+
+let node_cost n = work ~cached_encodes:false (coef_ns ~lg:11.0) n
 
 (* Calibration buckets: one telemetry metric (calib.<category>) per
-   bucket collects measured-µs / predicted-units ratios, so a drifting
-   constant in [node_cost] shows up as that bucket's ratio diverging from
-   the others'. *)
-let func_cost f = Irfunc.fold f ~init:0.0 ~f:(fun acc n -> acc +. node_cost n)
-
+   bucket collects measured / predicted ns, so a drifting constant shows
+   up as that bucket's ratio leaving 1.0. *)
 let node_category (n : Irfunc.node) =
   match n.Irfunc.op with
   | Op.C_relin | Op.C_rotate _ | Op.C_conj | Op.C_rotate_batch _ -> "key_switch"

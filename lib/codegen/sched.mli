@@ -9,27 +9,36 @@
     and the verifier checks exactly this plan with {!check}, so what is
     proved safe is what runs.
 
-    The module also carries the per-node cost model (work units per op),
-    which the executor holds accountable against measured wall-clock and
+    The module also carries the per-node cost model (nanoseconds per op),
+    which the executor holds accountable against measured busy time and
     the serving daemon uses to price requests. *)
 
 type t
 (** The per-node release plan of one function. *)
 
-val node_cost : Ace_ir.Irfunc.node -> float
-(** The cost model itself: estimated work of one node in abstract units
-    (1.0 ~ one limb of pointwise work, i.e. one O(N) pass over a residue
-    row). Pure function of the node's op and level annotation. Exposed so
-    the executor can hold the prediction accountable against measured
-    wall-clock (the [calib.*] telemetry metrics) and so the serving
-    daemon can price a request before running it. *)
+val node_ns : ring_degree:int -> cached_encodes:bool -> Ace_ir.Irfunc.node -> float
+(** The cost model: predicted nanoseconds of one node on one domain, in a
+    context of ring degree [ring_degree]. A fixed per-node overhead plus
+    the RNS kernel rows the op runs (NTTs, digit lifts, mul-acc,
+    pointwise, add, automorphism rows), each a per-row overhead plus
+    [ring_degree] times the kernel's cost per coefficient (an NTT's per
+    butterfly stage, so it grows with log2 of the degree). The constants
+    are static, measured once; see the source for how. With
+    [cached_encodes] an encode costs only the fixed overhead (the VM's
+    plaintext cache serves it). Pure function of its arguments. The
+    executor holds it accountable against measured busy time (the
+    [calib.*] metrics) and the serving daemon prices requests with it. *)
 
-val func_cost : Ace_ir.Irfunc.t -> float
-(** {!node_cost} summed over every node, in program order: the predicted
-    work of one execution. A fresh {!Vm.start} execution's
-    [Vm.remaining] equals it bit for bit (the same additions in the same
-    order), which the serving daemon's strict-comparison pick rule
-    relies on. *)
+val func_ns : ring_degree:int -> cached_encodes:bool -> Ace_ir.Irfunc.t -> float
+(** {!node_ns} summed over every node, in program order: the predicted
+    ns of one execution. A fresh {!Vm.start} execution's [Vm.remaining]
+    equals it bit for bit (the same additions in the same order), which
+    the serving daemon's strict-comparison pick rule relies on. *)
+
+val node_cost : Ace_ir.Irfunc.node -> float
+(** The node's kernel work in ns per coefficient at ring degree 2^11,
+    without overheads or encode caching: the part of {!node_ns} that
+    scales with the ring. A degree-free summary of a node for reports. *)
 
 val node_category : Ace_ir.Irfunc.node -> string
 (** Calibration bucket of a node's op: ["key_switch"] (relin / rotate /

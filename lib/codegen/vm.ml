@@ -32,9 +32,10 @@ type t = {
 
 and seq_plan = {
   to_free : int array array;  (** {!Sched.plan}: values dead once node [i] has run *)
+  node_ns : float array;  (** {!Sched.node_ns} of node [i] *)
   cost_before : float array;
-      (** {!Sched.node_cost} units of nodes [0..i-1], summed in program
-          order so that entry [num_nodes] is {!Sched.func_cost} exactly *)
+      (** {!Sched.node_ns} of nodes [0..i-1], summed in program order so
+          that entry [num_nodes] is {!Sched.func_ns} exactly *)
 }
 
 let phase_of_origin origin =
@@ -70,11 +71,16 @@ let seq_plan t =
     let f = t.func in
     let num_nodes = Irfunc.num_nodes f in
     let to_free = Sched.free_after (Sched.plan f) in
+    let ring_degree = Context.ring_degree t.keys.Fhe.Keys.context in
+    let cached_encodes = t.pt_cache <> None in
+    let node_ns =
+      Array.init num_nodes (fun i -> Sched.node_ns ~ring_degree ~cached_encodes (Irfunc.node f i))
+    in
     let cost_before = Array.make (num_nodes + 1) 0.0 in
     for i = 0 to num_nodes - 1 do
-      cost_before.(i + 1) <- cost_before.(i) +. Sched.node_cost (Irfunc.node f i)
+      cost_before.(i + 1) <- cost_before.(i) +. node_ns.(i)
     done;
-    let p = { to_free; cost_before } in
+    let p = { to_free; node_ns; cost_before } in
     t.plan <- Some p;
     p
 
@@ -233,40 +239,41 @@ let exec_node t values inputs (n : Irfunc.node) =
   | op -> invalid_arg ("Vm.run: unexpected op " ^ Op.name op)
 
 (* Cost-model accountability: one metric per Sched category collecting
-   measured-µs / predicted-units ratios. Pre-registered so the hot path
-   never takes the registry mutex; light/zero-weight ops are skipped —
-   their measurement is clock noise, not model signal. *)
+   measured / predicted ns. Pre-registered so the hot path never takes
+   the registry mutex. Nodes predicted under [calib_floor_ns] are
+   skipped: the clock ticks in microseconds, so their measurement is
+   mostly quantisation, not model signal. *)
 let calib_metrics =
   lazy
     (List.map
        (fun c -> (c, Telemetry.metric ("calib." ^ c)))
        [ "key_switch"; "mul"; "rescale"; "encode"; "add"; "bootstrap" ])
 
-let observe_calib (n : Irfunc.node) dt =
-  let predicted = Sched.node_cost n in
-  if predicted >= 0.5 then
+let calib_floor_ns = 10_000.0
+
+let observe_calib (n : Irfunc.node) ~predicted busy =
+  if predicted >= calib_floor_ns then
     match List.assoc_opt (Sched.node_category n) (Lazy.force calib_metrics) with
-    | Some m -> Telemetry.observe m (dt *. 1e6 /. predicted)
+    | Some m -> Telemetry.observe m (busy *. 1e9 /. predicted)
     | None -> ()
 
-(* Timed wrapper: phase accounting plus the per-node span, recorded on the
-   executing domain's shard. [tag] carries request-attribution args (batch
-   request ids) into every per-node span. *)
-let exec_timed ?(tag = []) t values inputs (n : Irfunc.node) =
+(* Node accounting, once per node whatever the number of pieces it ran
+   in: phase time, the calibration ratio and the per-node span, all from
+   [busy], the node's time summed over its pieces. [tag] carries
+   request-attribution args (batch request ids) into every span. *)
+let record_node ~tag ~predicted (n : Irfunc.node) ~t0 ~busy =
   let phase =
     match n.Irfunc.op with
     | Op.C_bootstrap _ -> "bootstrap"
     | _ -> phase_of_origin n.Irfunc.origin
   in
-  let t0 = Unix.gettimeofday () in
-  let result = exec_node t values inputs n in
-  let t1 = Unix.gettimeofday () in
-  Cost.add_phase_time phase (t1 -. t0);
-  observe_calib n (t1 -. t0);
+  Cost.add_phase_time phase busy;
+  observe_calib n ~predicted busy;
   Telemetry.emit_span ~cat:phase
     ~args:(("origin", n.Irfunc.origin) :: tag)
-    ~name:("vm." ^ Op.name n.Irfunc.op) ~t0 ~dur:(t1 -. t0) ();
-  result
+    ~name:("vm." ^ Op.name n.Irfunc.op) ~t0 ~dur:busy ()
+
+let m_suspensions = lazy (Telemetry.metric "vm.node_suspensions")
 
 let collect_returns f values =
   List.map
@@ -275,6 +282,9 @@ let collect_returns f values =
       | V_ct c -> c
       | _ -> invalid_arg "Vm.run: non-ciphertext return")
     (Irfunc.returns f)
+
+(* A node suspended between two of its pieces ({!Ace_fhe.Job}). *)
+type in_flight = { job : value Fhe.Job.t; started : float; busy : float }
 
 (* A paused sequential execution: the program-order cursor plus the value
    table. Everything the loop needs between slices lives here, so several
@@ -286,6 +296,7 @@ type exec = {
   inputs : Ciphertext.ct array;
   values : value array;
   mutable next : int;  (** id of the next node to execute *)
+  mutable in_flight : in_flight option;  (** node [next], suspended part-way *)
   mutable finished : bool;  (** outputs returned, or aborted *)
   (* the open per-NN-operator group span, "" when none is open *)
   mutable cur_origin : string;
@@ -300,6 +311,7 @@ let start_observed ?(tag = []) ~observe t inputs =
     inputs = Array.of_list inputs;
     values = Array.make (Irfunc.num_nodes t.func) V_none;
     next = 0;
+    in_flight = None;
     finished = false;
     cur_origin = "";
     cur_start = 0.0;
@@ -333,26 +345,42 @@ let step e ~until =
     end
     else begin
       let n = Irfunc.node f e.next in
+      let t0 = Unix.gettimeofday () in
       if Telemetry.tracing () && n.Irfunc.origin <> e.cur_origin then begin
-        let now = Unix.gettimeofday () in
-        close_group e now;
+        close_group e t0;
         e.cur_origin <- n.Irfunc.origin;
-        e.cur_start <- now
+        e.cur_start <- t0
       end;
-      let result = exec_timed ~tag:e.tag t e.values e.inputs n in
-      e.values.(n.Irfunc.id) <- result;
-      (match result with V_ct c -> e.observe n c | _ -> ());
-      Array.iter
-        (fun a ->
-          release_value t a e.values.(a);
-          e.values.(a) <- V_none)
-        plan.to_free.(n.Irfunc.id);
-      e.next <- e.next + 1;
-      if e.next < num_nodes && Unix.gettimeofday () >= until then begin
-        close_group e (Unix.gettimeofday ());
+      let outcome, started, busy_before =
+        match e.in_flight with
+        | Some fl ->
+          e.in_flight <- None;
+          (Fhe.Job.resume fl.job ~until, fl.started, fl.busy)
+        | None -> (Fhe.Job.run ~until (fun () -> exec_node t e.values e.inputs n), t0, 0.0)
+      in
+      let t1 = Unix.gettimeofday () in
+      let busy = busy_before +. (t1 -. t0) in
+      match outcome with
+      | Fhe.Job.Paused job ->
+        e.in_flight <- Some { job; started; busy };
+        Telemetry.incr (Lazy.force m_suspensions);
+        close_group e t1;
         None
-      end
-      else go ()
+      | Fhe.Job.Done result ->
+        record_node ~tag:e.tag ~predicted:plan.node_ns.(n.Irfunc.id) n ~t0:started ~busy;
+        e.values.(n.Irfunc.id) <- result;
+        (match result with V_ct c -> e.observe n c | _ -> ());
+        Array.iter
+          (fun a ->
+            release_value t a e.values.(a);
+            e.values.(a) <- V_none)
+          plan.to_free.(n.Irfunc.id);
+        e.next <- e.next + 1;
+        if e.next < num_nodes && Unix.gettimeofday () >= until then begin
+          close_group e (Unix.gettimeofday ());
+          None
+        end
+        else go ()
     end
   in
   go ()
@@ -367,6 +395,8 @@ let abort e =
   if not e.finished then begin
     e.finished <- true;
     close_group e (Unix.gettimeofday ());
+    Option.iter (fun fl -> Fhe.Job.abort fl.job) e.in_flight;
+    e.in_flight <- None;
     Array.iteri
       (fun id v ->
         release_value e.vm id v;

@@ -40,9 +40,9 @@ val run :
     batch's request ids so a Chrome trace can be filtered per request.
 
     Every executed node also feeds the cost-accountability metrics: a
-    [calib.<category>] observation of measured-µs / {!Sched.node_cost}
-    units (categories from {!Sched.node_category}; epsilon-weight
-    bookkeeping ops are skipped). *)
+    [calib.<category>] observation of measured busy time over
+    {!Sched.node_ns} (1.0 for an exact model; categories from
+    {!Sched.node_category}; nodes predicted under 10 µs are skipped). *)
 
 (** {1 Resumable sequential execution} *)
 
@@ -57,22 +57,30 @@ val start : ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> ex
 (** Begin an execution; no node runs yet. The inputs stay the caller's. *)
 
 val step : exec -> until:float -> Ace_fhe.Ciphertext.ct list option
-(** Run whole nodes until the wall clock ([Unix.gettimeofday]) passes
-    [until], releasing each node's dead values as {!run} does; [Some
-    outputs] once the last node has run. [until = neg_infinity] runs one
-    node, [infinity] runs to the end. The open [nn.<origin>] group span
-    is closed at every slice end.
+(** Run until the wall clock ([Unix.gettimeofday]) passes [until],
+    releasing each node's dead values as {!run} does; [Some outputs] once
+    the last node has run. The clock is checked after every node and, in
+    a key-switching node (relinearize, rotate, conjugate, rotation
+    batch), at every boundary between its pieces ({!Ace_fhe.Job}): a node
+    stopped part-way stays in the execution and the next [step] resumes
+    it, counted in [vm.node_suspensions]. [until = neg_infinity] runs one
+    node or one piece, [infinity] runs to the end. Each node records one
+    span, phase sample and [calib] observation, of its busy time summed
+    over its pieces. The open [nn.<origin>] group span is closed at
+    every slice end.
     @raise Invalid_argument on a finished or aborted execution. *)
 
 val remaining : exec -> float
-(** Predicted {!Sched.node_cost} units of the nodes not yet run (0.0 once
-    finished or aborted). *)
+(** Predicted ns ({!Sched.node_ns}) of the nodes not yet run, a node
+    suspended part-way counting whole (0.0 once finished or aborted). *)
 
 val abort : exec -> unit
-(** Drop an unfinished execution: every live value goes back to the limb
-    pool through the same release path liveness uses. Cached plaintexts
-    and the caller's inputs stay untouched. No-op on a finished
-    execution, whose outputs belong to the caller. *)
+(** Drop an unfinished execution: a node suspended part-way releases its
+    scratch rows, hoisted digits and finished rotations, and every live
+    value goes back to the limb pool through the same release path
+    liveness uses. Cached plaintexts and the caller's inputs stay
+    untouched. No-op on a finished execution, whose outputs belong to the
+    caller. *)
 
 val run_observed :
   ?tag:(string * string) list ->

@@ -597,6 +597,11 @@ let make_runtime ?telemetry c keys ~seed =
 
 let runtime_vm rt = rt.rt_vm
 
+let runtime_exec_ns c =
+  Ace_codegen.Sched.func_ns
+    ~ring_degree:(Fhe.Context.ring_degree c.context)
+    ~cached_encodes:true c.ckks
+
 let start_rt ?request_ids rt ct = start_vm ?request_ids rt.rt_compiled rt.rt_vm ct
 
 let run_encrypted_rt ?request_ids rt ct = run_to_end (start_rt ?request_ids rt ct)

@@ -221,6 +221,12 @@ val make_runtime :
 val runtime_vm : runtime -> Ace_codegen.Vm.t
 (** The resident VM, for callers that drive {!Ace_codegen.Vm} directly. *)
 
+val runtime_exec_ns : compiled -> float
+(** Predicted ns of one execution on a resident runtime
+    ({!Ace_codegen.Sched.func_ns} at the context's ring degree, encodes
+    served from the plaintext cache). Equal, bit for bit, to {!remaining}
+    of a fresh {!start_rt} execution. *)
+
 val run_encrypted_rt :
   ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
 (** Serving-loop execution with the same per-request attribution as
@@ -237,8 +243,9 @@ val start_rt : ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> 
     [?request_ids] as for {!run_encrypted}. *)
 
 val step : exec -> until:float -> Ace_fhe.Ciphertext.ct option
-(** Run one slice: whole nodes until the wall clock passes [until]
-    ({!Ace_codegen.Vm.step}); [Some result] once the last node has run.
+(** Run one slice: nodes, and pieces of key-switching nodes, until the
+    wall clock passes [until] ({!Ace_codegen.Vm.step}); [Some result]
+    once the last node has run.
     The [request.*] metrics and the [request.batch] span are
     recorded on completion: [request.latency] is the execution's own busy
     time (summed over its slices) divided by {!requests_per_ct}, and the
@@ -247,7 +254,8 @@ val step : exec -> until:float -> Ace_fhe.Ciphertext.ct option
     @raise Failure on a keygen-plan mismatch (a missing rotation key). *)
 
 val remaining : exec -> float
-(** Predicted {!Ace_codegen.Sched.node_cost} units left to run. *)
+(** Predicted ns ({!Ace_codegen.Sched.node_ns}) of the nodes not yet
+    run; a node suspended part-way counts whole. *)
 
 val abort : exec -> unit
 (** Drop an unfinished execution and return its live buffers to the limb

@@ -143,14 +143,14 @@ module Telemetry = Ace_telemetry.Telemetry
 type calibration_row = {
   cal_category : string;
   cal_samples : int;
-  cal_us_per_unit_p50 : float;
-  cal_us_per_unit_p99 : float;
-  cal_us_per_unit_mean : float;
+  cal_ratio_p50 : float;
+  cal_ratio_p99 : float;
+  cal_ratio_mean : float;
   cal_error_ratio_p50 : float;
   cal_error_ratio_p99 : float;
 }
 
-type calibration = { cal_reference_us_per_unit : float; cal_rows : calibration_row list }
+type calibration = { cal_reference_ratio : float; cal_rows : calibration_row list }
 
 let calib_prefix = "calib."
 
@@ -170,9 +170,9 @@ let calibration_of_snapshot (snap : Telemetry.snapshot) =
         else None)
       snap.Telemetry.snap_metrics
   in
-  (* Reference µs-per-unit: the sample-weighted mean over categories. A
-     perfectly proportional cost model puts every category's error ratio
-     at 1.0. *)
+  (* Reference: the sample-weighted mean measured/predicted ratio over
+     categories. A perfectly proportional cost model puts every
+     category's error ratio at 1.0. *)
   let wsum, wn =
     List.fold_left
       (fun (s, n) ((_, st) : string * Telemetry.metric_stats) ->
@@ -182,16 +182,16 @@ let calibration_of_snapshot (snap : Telemetry.snapshot) =
   let reference = if wn = 0 then 0.0 else wsum /. float_of_int wn in
   let ratio v = if reference > 0.0 then v /. reference else 0.0 in
   {
-    cal_reference_us_per_unit = reference;
+    cal_reference_ratio = reference;
     cal_rows =
       List.map
         (fun ((cat, st) : string * Telemetry.metric_stats) ->
           {
             cal_category = cat;
             cal_samples = st.Telemetry.st_count;
-            cal_us_per_unit_p50 = st.Telemetry.st_p50;
-            cal_us_per_unit_p99 = st.Telemetry.st_p99;
-            cal_us_per_unit_mean =
+            cal_ratio_p50 = st.Telemetry.st_p50;
+            cal_ratio_p99 = st.Telemetry.st_p99;
+            cal_ratio_mean =
               (if st.Telemetry.st_count = 0 then 0.0
                else st.Telemetry.st_total /. float_of_int st.Telemetry.st_count);
             cal_error_ratio_p50 = ratio st.Telemetry.st_p50;
@@ -203,17 +203,17 @@ let calibration_of_snapshot (snap : Telemetry.snapshot) =
 let calibration_to_json cal =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"reference_us_per_unit\": %.4f, \"categories\": {"
-       cal.cal_reference_us_per_unit);
+    (Printf.sprintf "{\"reference_ratio\": %.4f, \"categories\": {"
+       cal.cal_reference_ratio);
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
         (Printf.sprintf
-           "\"%s\": {\"samples\": %d, \"us_per_unit_p50\": %.4f, \"us_per_unit_p99\": %.4f, \
-            \"us_per_unit_mean\": %.4f, \"error_ratio_p50\": %.4f, \"error_ratio_p99\": %.4f}"
-           (String.escaped r.cal_category) r.cal_samples r.cal_us_per_unit_p50
-           r.cal_us_per_unit_p99 r.cal_us_per_unit_mean r.cal_error_ratio_p50
+           "\"%s\": {\"samples\": %d, \"ratio_p50\": %.4f, \"ratio_p99\": %.4f, \
+            \"ratio_mean\": %.4f, \"error_ratio_p50\": %.4f, \"error_ratio_p99\": %.4f}"
+           (String.escaped r.cal_category) r.cal_samples r.cal_ratio_p50
+           r.cal_ratio_p99 r.cal_ratio_mean r.cal_error_ratio_p50
            r.cal_error_ratio_p99))
     cal.cal_rows;
   Buffer.add_string buf "}}";

@@ -44,29 +44,30 @@ val to_json : t -> string
 
 (** {1 Cost-model calibration}
 
-    Runtime accountability of {!Ace_codegen.Sched.node_cost}: the VM
-    records, per op category, the distribution of measured-µs /
-    predicted-units ratios ([calib.<category>] metrics — see
+    Runtime accountability of {!Ace_codegen.Sched.node_ns}: the VM
+    records, per op category, the distribution of measured / predicted
+    busy-time ratios ([calib.<category>] metrics — see
     {!Ace_codegen.Vm}). A snapshot of those metrics folds into this
-    table: the reference is the sample-weighted mean µs-per-unit across
-    op categories, and each category's error ratio is its own µs-per-unit
-    against that reference — 1.0 everywhere means the model's RATIOS
-    (what the serving daemon's pick rule compares) are exact. *)
+    table: the reference is the sample-weighted mean ratio across op
+    categories, and each category's error ratio is its own ratio against
+    that reference — 1.0 everywhere means the model's RATIOS (what the
+    serving daemon's pick rule compares) are exact, and a reference of
+    1.0 means its absolute scale is too. *)
 
 type calibration_row = {
   cal_category : string;  (** {!Ace_codegen.Sched.node_category} *)
   cal_samples : int;
-  cal_us_per_unit_p50 : float;
-  cal_us_per_unit_p99 : float;
-  cal_us_per_unit_mean : float;
-  cal_error_ratio_p50 : float;  (** p50 µs-per-unit / reference *)
+  cal_ratio_p50 : float;  (** measured / predicted *)
+  cal_ratio_p99 : float;
+  cal_ratio_mean : float;
+  cal_error_ratio_p50 : float;  (** p50 ratio / reference *)
   cal_error_ratio_p99 : float;
 }
 
 type calibration = {
-  cal_reference_us_per_unit : float;
-      (** sample-weighted mean µs-per-unit over op categories; 0 when no
-          samples *)
+  cal_reference_ratio : float;
+      (** sample-weighted mean measured/predicted ratio over op
+          categories; 0 when no samples *)
   cal_rows : calibration_row list;  (** sorted by category name *)
 }
 

@@ -49,12 +49,15 @@ let reset () = Telemetry.reset_metrics ()
 
 let count c = Telemetry.incr (metric_of c)
 
+(* Busy time only: an operation suspended at a {!Job.pause} is not
+   charged for the time other work ran in between. *)
 let timed c f =
   let m = metric_of c in
   Telemetry.incr m;
   let t0 = Unix.gettimeofday () in
+  let idle0 = Job.idle () in
   let finish () =
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Unix.gettimeofday () -. t0 -. (Job.idle () -. idle0) in
     Telemetry.observe m dt;
     Telemetry.emit_span ~cat:"fhe" ~name:("fhe." ^ category_name c) ~t0 ~dur:dt ()
   in

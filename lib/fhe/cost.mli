@@ -26,7 +26,8 @@ val reset : unit -> unit
 
 val count : category -> unit
 val timed : category -> (unit -> 'a) -> 'a
-(** Count one occurrence and attribute its wall-clock time. *)
+(** Count one occurrence and attribute its wall-clock time, less any
+    time spent suspended ({!Job.idle}). *)
 
 val get_count : category -> int
 val get_time : category -> float

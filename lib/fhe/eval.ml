@@ -1,5 +1,4 @@
 module Rns_poly = Ace_rns.Rns_poly
-module Modarith = Ace_rns.Modarith
 module Crt = Ace_rns.Crt
 module Ntt = Ace_rns.Ntt
 module Limb_pool = Ace_rns.Limb_pool
@@ -256,37 +255,55 @@ let key_row_shoup ~special_ci (rows : int array array) k_ci =
    the divided-down output is materialised. *)
 let mod_down ctx ~limbs acc =
   let crt = Context.crt ctx in
-  let n = Context.ring_degree ctx in
   let special_ci = Context.special_chain_idx ctx in
   let rows = acc.Rns_poly.data in
   (* Every residue of [out] is written below (reduce loop + forward
      transform + subtract loop), so the slab can start uninitialised. *)
   let out = Rns_poly.alloc_uninit crt ~chain_idx:(Array.init limbs (fun i -> i)) Rns_poly.Eval in
   let sp_q = Crt.modulus crt special_ci in
-  let sp_half = sp_q / 2 in
   let sp_row = rows.(limbs) in
   Ntt.inverse (Crt.plan crt special_ci) sp_row;
-  let p_invs = Array.init limbs (fun t -> Crt.inv_mod crt ~num:special_ci ~target:t) in
   Domain_pool.parallel_for limbs (fun t ->
       (* Recorded on the executing worker's shard, so traces show the
          limb-parallel fan-out across domains. *)
       Telemetry.span ~cat:"fhe.worker" "mod_down.limb" @@ fun () ->
-      let q_t = Crt.modulus crt t in
       let plan = Crt.plan crt t in
-      let p_inv = p_invs.(t) in
-      let row = rows.(t) and dst = out.Rns_poly.data.(t) in
-      for j = 0 to n - 1 do
-        let v = Array.unsafe_get sp_row j in
-        let c = if v > sp_half then v - sp_q else v in
-        Array.unsafe_set dst j (Ntt.reduce_scalar plan c)
-      done;
+      let p_inv = Crt.inv_mod crt ~num:special_ci ~target:t in
+      let dst = out.Rns_poly.data.(t) in
+      Ntt.lift_row plan ~src_modulus:sp_q sp_row dst;
       Ntt.forward plan dst;
-      for j = 0 to n - 1 do
-        let diff = Modarith.sub (Array.unsafe_get row j) (Array.unsafe_get dst j) ~modulus:q_t in
-        Array.unsafe_set dst j (Modarith.mul diff p_inv ~modulus:q_t)
-      done);
+      Ntt.sub_mul_shoup plan dst rows.(t) p_inv (Ntt.shoup_companion plan p_inv));
   Array.iter Limb_pool.release rows;
   out
+
+let release_rows = Array.iter Limb_pool.release
+
+(* The pieces of a key switch ({!Job}): the walk over the extended basis
+   runs in rounds of one position per domain, with a piece boundary
+   between rounds, and each mod-down is a piece of its own. A position is
+   still owned by one worker for its whole digit walk, so the
+   accumulation order, and the result, do not depend on the rounds. *)
+let basis_rounds ~cleanup n body =
+  Job.guard ~cleanup @@ fun () ->
+  let width = Domain_pool.size () in
+  let rec go lo =
+    if lo < n then begin
+      if lo > 0 then Job.pause ();
+      let len = min width (n - lo) in
+      Domain_pool.parallel_for len (fun i -> body (lo + i));
+      go (lo + len)
+    end
+  in
+  go 0
+
+(* Divide both extended-basis accumulators (pool rows owned here) down to
+   [limbs] limbs, one piece each. *)
+let mod_down_pair ctx ~limbs ~basis acc0 acc1 =
+  let crt = Context.crt ctx in
+  Job.guard ~cleanup:(fun () -> release_rows acc0; release_rows acc1) Job.pause;
+  let e0 = mod_down ctx ~limbs (Rns_poly.of_data crt ~chain_idx:basis Rns_poly.Eval acc0) in
+  Job.guard ~cleanup:(fun () -> release_rows acc1; Rns_poly.release e0) Job.pause;
+  (e0, mod_down ctx ~limbs (Rns_poly.of_data crt ~chain_idx:basis Rns_poly.Eval acc1))
 
 (* Key-switch a single polynomial [d] (any domain) with [key]; returns the
    (c0, c1) correction pair at [d]'s limb set. This is the shared core of
@@ -307,14 +324,17 @@ let key_switch ctx (key : Keys.switching_key) d =
   let basis = key_basis ctx ~limbs in
   let acc0 = Array.init (limbs + 1) (fun _ -> Limb_pool.acquire_zeroed n) in
   let acc1 = Array.init (limbs + 1) (fun _ -> Limb_pool.acquire_zeroed n) in
-  Domain_pool.parallel_for (limbs + 1) (fun k ->
+  basis_rounds (limbs + 1)
+    ~cleanup:(fun () ->
+      release_conv ~src:d_src d;
+      release_rows acc0;
+      release_rows acc1)
+    (fun k ->
       Telemetry.span ~cat:"fhe.worker" "key_switch.basis" @@ fun () ->
       let t_ci = basis.(k) in
       let plan = Crt.plan crt t_ci in
       Limb_pool.with_row n @@ fun digit_row ->
       for i = 0 to limbs - 1 do
-        let src_q = Crt.modulus crt i in
-        let half = src_q / 2 in
         let row = d.Rns_poly.data.(i) in
         let kb, ka = key.Keys.digits.(i) in
         let kb', ka' = key.Keys.digits_shoup.(i) in
@@ -322,12 +342,7 @@ let key_switch ctx (key : Keys.switching_key) d =
            centered lift each residue is a genuine small integer), then
            NTT'd in place. *)
         if t_ci = i then Array.blit row 0 digit_row 0 n
-        else
-          for j = 0 to n - 1 do
-            let v = Array.unsafe_get row j in
-            let c = if v > half then v - src_q else v in
-            Array.unsafe_set digit_row j (Ntt.reduce_scalar plan c)
-          done;
+        else Ntt.lift_row plan ~src_modulus:(Crt.modulus crt i) row digit_row;
         Ntt.forward plan digit_row;
         Ntt.pointwise_mul_acc_shoup plan acc0.(k) digit_row (key_row ~special_ci kb t_ci)
           (key_row_shoup ~special_ci kb' t_ci);
@@ -335,9 +350,7 @@ let key_switch ctx (key : Keys.switching_key) d =
           (key_row_shoup ~special_ci ka' t_ci)
       done);
   release_conv ~src:d_src d;
-  let acc0 = Rns_poly.of_data crt ~chain_idx:basis Rns_poly.Eval acc0 in
-  let acc1 = Rns_poly.of_data crt ~chain_idx:basis Rns_poly.Eval acc1 in
-  (mod_down ctx ~limbs acc0, mod_down ctx ~limbs acc1)
+  mod_down_pair ctx ~limbs ~basis acc0 acc1
 
 (* Hoisted key-switching (Halevi–Shoup). Gadget decomposition acts
    coefficient-wise modulo each q_i and the Galois automorphism permutes
@@ -368,28 +381,25 @@ let hoist ctx d =
      lift loop, then the in-place forward transform). Freed by
      [release_hoisted] once the rotation batch is done with them. *)
   let ext = Array.init (limbs + 1) (fun _ -> Array.init limbs (fun _ -> Limb_pool.acquire n)) in
-  Domain_pool.parallel_for (limbs + 1) (fun k ->
+  basis_rounds (limbs + 1)
+    ~cleanup:(fun () ->
+      release_conv ~src:d_src d;
+      Array.iter release_rows ext)
+    (fun k ->
       Telemetry.span ~cat:"fhe.worker" "hoist.basis" @@ fun () ->
       let t_ci = basis.(k) in
       let plan = Crt.plan crt t_ci in
       for i = 0 to limbs - 1 do
-        let src_q = Crt.modulus crt i in
-        let half = src_q / 2 in
         let row = d.Rns_poly.data.(i) in
         let dst = ext.(k).(i) in
         if t_ci = i then Array.blit row 0 dst 0 n
-        else
-          for j = 0 to n - 1 do
-            let v = Array.unsafe_get row j in
-            let c = if v > half then v - src_q else v in
-            Array.unsafe_set dst j (Ntt.reduce_scalar plan c)
-          done;
+        else Ntt.lift_row plan ~src_modulus:(Crt.modulus crt i) row dst;
         Ntt.forward plan dst
       done);
   release_conv ~src:d_src d;
   { h_limbs = limbs; h_ext = ext }
 
-let release_hoisted h = Array.iter (Array.iter Limb_pool.release) h.h_ext
+let release_hoisted h = Array.iter release_rows h.h_ext
 
 (* Apply one switching key to hoisted digits under the eval-domain
    automorphism permutation [perm]. Per basis position the digit walk, the
@@ -406,7 +416,11 @@ let key_switch_hoisted ctx (key : Keys.switching_key) h ~perm =
   let basis = key_basis ctx ~limbs in
   let acc0 = Array.init (limbs + 1) (fun _ -> Limb_pool.acquire_zeroed n) in
   let acc1 = Array.init (limbs + 1) (fun _ -> Limb_pool.acquire_zeroed n) in
-  Domain_pool.parallel_for (limbs + 1) (fun k ->
+  basis_rounds (limbs + 1)
+    ~cleanup:(fun () ->
+      release_rows acc0;
+      release_rows acc1)
+    (fun k ->
       Telemetry.span ~cat:"fhe.worker" "key_switch_hoisted.basis" @@ fun () ->
       let t_ci = basis.(k) in
       let plan = Crt.plan crt t_ci in
@@ -419,9 +433,7 @@ let key_switch_hoisted ctx (key : Keys.switching_key) h ~perm =
         Ntt.pointwise_mul_acc_gather_shoup plan acc1.(k) rows.(i) perm
           (key_row ~special_ci ka t_ci) (key_row_shoup ~special_ci ka' t_ci)
       done);
-  let acc0 = Rns_poly.of_data crt ~chain_idx:basis Rns_poly.Eval acc0 in
-  let acc1 = Rns_poly.of_data crt ~chain_idx:basis Rns_poly.Eval acc1 in
-  (mod_down ctx ~limbs acc0, mod_down ctx ~limbs acc1)
+  mod_down_pair ctx ~limbs ~basis acc0 acc1
 
 let relinearize keys (ct : ct) =
   Cost.timed Cost.Relinearize @@ fun () ->
@@ -468,6 +480,20 @@ let rotation_key_exn keys ~step g =
   | None ->
     raise (Missing_rotation_key { step; available = Keys.available_rotations keys })
 
+(* Key-switch the automorphism image [r1] of a rotation or conjugation,
+   releasing it; [r0], the image of c0, is held across the key switch's
+   pieces and released only if the operation is aborted. *)
+let switch_images ctx key r0 r1 =
+  let e =
+    Job.guard
+      ~cleanup:(fun () ->
+        Rns_poly.release r0;
+        Rns_poly.release r1)
+      (fun () -> key_switch ctx key r1)
+  in
+  Rns_poly.release r1;
+  e
+
 (* Rotations apply the automorphism in whatever domain the operand is in:
    an Eval input costs a pure index permutation (no transform at all),
    which is where [rotate] stops paying NTT round trips on c0 — the
@@ -491,8 +517,7 @@ let rotate keys (ct : ct) k =
     let r0 = Rns_poly.automorphism ~galois:g c0e in
     release_conv ~src:ct.polys.(0) c0e;
     let r1 = Rns_poly.automorphism ~galois:g ct.polys.(1) in
-    let e0, e1 = key_switch ctx key r1 in
-    Rns_poly.release r1;
+    let e0, e1 = switch_images ctx key r0 r1 in
     let e0 = Rns_poly.ntt_inplace e0 in
     let c0 = Rns_poly.add_into ~dst:e0 r0 e0 in
     Rns_poly.release r0;
@@ -522,27 +547,37 @@ let rotate_batch keys (ct : ct) steps =
   else begin
     let h = hoist ctx ct.polys.(1) in
     let c0e = Rns_poly.to_ntt ct.polys.(0) in
-    let out =
-      Array.map
-        (fun k ->
-          if trivial k then begin
-            Ciphertext.mark_shared ct;
-            ct
-          end
-          else
-            Cost.timed Cost.Rotate @@ fun () ->
-            let g = Keys.galois_of_rotation ctx k in
-            let key = rotation_key_exn keys ~step:k g in
-            let perm = Rns_poly.automorphism_perm crt ~galois:g in
-            let e0, e1 = key_switch_hoisted ctx key h ~perm in
-            let e0 = Rns_poly.ntt_inplace e0 in
-            let r0 = Rns_poly.automorphism ~galois:g c0e in
-            let c0 = Rns_poly.add_into ~dst:e0 r0 e0 in
-            Rns_poly.release r0;
-            record_flight "rotate"
-              { polys = [| c0; Rns_poly.ntt_inplace e1 |]; ct_scale = ct.ct_scale })
-        steps
-    in
+    (* Each step is a piece (on top of the pieces of its key switch). Slots
+       not yet rotated hold [ct] itself, so an abort releases exactly the
+       finished rotations. *)
+    let out = Array.make (Array.length steps) ct in
+    Job.guard
+      ~cleanup:(fun () ->
+        Array.iter (fun o -> if o != ct then Ciphertext.release o) out;
+        release_conv ~src:ct.polys.(0) c0e;
+        release_hoisted h)
+      (fun () ->
+        Array.iteri
+          (fun i k ->
+            Job.pause ();
+            out.(i) <-
+              (if trivial k then begin
+                 Ciphertext.mark_shared ct;
+                 ct
+               end
+               else
+                 Cost.timed Cost.Rotate @@ fun () ->
+                 let g = Keys.galois_of_rotation ctx k in
+                 let key = rotation_key_exn keys ~step:k g in
+                 let perm = Rns_poly.automorphism_perm crt ~galois:g in
+                 let e0, e1 = key_switch_hoisted ctx key h ~perm in
+                 let e0 = Rns_poly.ntt_inplace e0 in
+                 let r0 = Rns_poly.automorphism ~galois:g c0e in
+                 let c0 = Rns_poly.add_into ~dst:e0 r0 e0 in
+                 Rns_poly.release r0;
+                 record_flight "rotate"
+                   { polys = [| c0; Rns_poly.ntt_inplace e1 |]; ct_scale = ct.ct_scale }))
+          steps);
     release_conv ~src:ct.polys.(0) c0e;
     release_hoisted h;
     out
@@ -558,8 +593,7 @@ let conjugate keys (ct : ct) =
   let r0 = Rns_poly.automorphism ~galois:g c0e in
   release_conv ~src:ct.polys.(0) c0e;
   let r1 = Rns_poly.automorphism ~galois:g ct.polys.(1) in
-  let e0, e1 = key_switch ctx key r1 in
-  Rns_poly.release r1;
+  let e0, e1 = switch_images ctx key r0 r1 in
   let e0 = Rns_poly.ntt_inplace e0 in
   let c0 = Rns_poly.add_into ~dst:e0 r0 e0 in
   Rns_poly.release r0;

@@ -38,7 +38,13 @@ val mul_raw : Ciphertext.ct -> Ciphertext.ct -> Ciphertext.ct
 (** Tensor product; result has three polynomials (the paper's Cipher3). *)
 
 val relinearize : Keys.t -> Ciphertext.ct -> Ciphertext.ct
-(** Reduce a size-3 ciphertext back to size 2 with the relin key. *)
+(** Reduce a size-3 ciphertext back to size 2 with the relin key.
+
+    This and {!rotate}, {!rotate_batch} and {!conjugate} are resumable:
+    their key switches mark piece boundaries with {!Job.pause} (a round
+    of basis positions, one per domain; each mod-down; each step of a
+    rotation batch). Run under {!Job.run} they can suspend there; called
+    directly they run to completion, and the result is the same. *)
 
 val mul : Keys.t -> Ciphertext.ct -> Ciphertext.ct -> Ciphertext.ct
 (** [mul_raw] followed by {!relinearize}. *)

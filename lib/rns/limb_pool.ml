@@ -65,6 +65,8 @@ let set_debug b =
 
 let row_hits_c = Atomic.make 0
 let row_misses_c = Atomic.make 0
+let row_releases_c = Atomic.make 0
+let row_dropped_c = Atomic.make 0
 let slab_hits_c = Atomic.make 0
 let slab_misses_c = Atomic.make 0
 let slab_releases_c = Atomic.make 0
@@ -73,6 +75,8 @@ let slab_dropped_c = Atomic.make 0
 type stats = {
   row_hits : int;
   row_misses : int;
+  row_releases : int;
+  row_dropped : int;
   slab_hits : int;
   slab_misses : int;
   slab_releases : int;
@@ -83,6 +87,8 @@ let stats () =
   {
     row_hits = Atomic.get row_hits_c;
     row_misses = Atomic.get row_misses_c;
+    row_releases = Atomic.get row_releases_c;
+    row_dropped = Atomic.get row_dropped_c;
     slab_hits = Atomic.get slab_hits_c;
     slab_misses = Atomic.get slab_misses_c;
     slab_releases = Atomic.get slab_releases_c;
@@ -92,6 +98,8 @@ let stats () =
 let reset_stats () =
   Atomic.set row_hits_c 0;
   Atomic.set row_misses_c 0;
+  Atomic.set row_releases_c 0;
+  Atomic.set row_dropped_c 0;
   Atomic.set slab_hits_c 0;
   Atomic.set slab_misses_c 0;
   Atomic.set slab_releases_c 0;
@@ -147,8 +155,10 @@ let release a =
       poison_row a
     end;
     b.free <- a :: b.free;
-    b.depth <- b.depth + 1
+    b.depth <- b.depth + 1;
+    Atomic.incr row_releases_c
   end
+  else Atomic.incr row_dropped_c
 
 let with_row n f =
   let a = acquire n in

@@ -81,6 +81,8 @@ val release_slab : int array array -> unit
 type stats = {
   row_hits : int;  (** row acquires served from a free list *)
   row_misses : int;  (** row acquires that allocated fresh *)
+  row_releases : int;  (** rows accepted onto a free list *)
+  row_dropped : int;  (** row releases dropped (bucket full) *)
   slab_hits : int;
   slab_misses : int;
   slab_releases : int;  (** slabs accepted onto a free list *)

@@ -19,6 +19,13 @@ type plan = {
   barrett_mu : int;
   barrett_a : int;
   barrett_b : int;
+  (* Division-free reduction of a centered digit c, |c| <= 2^30
+     ([reduce_centered]): x = c + lift_offset is non-negative and below
+     2^32, and ((x * lift_mu) lsr lift_shift) is floor(x / q) or one
+     less, so a single conditional subtract finishes. *)
+  lift_offset : int;
+  lift_mu : int;
+  lift_shift : int;
   psi_pows : int array;
   psi_pows_shoup : int array;
   psi_inv_pows : int array;
@@ -49,11 +56,12 @@ let shoup_of q a = Array.map (fun w -> shoup w q) a
    still within 7q of the true remainder. The float-quotient variant this
    replaces lost bits once x*y crossed 2^53, where "off by at most one"
    no longer holds. *)
+let bit_width q =
+  let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
+  go 0 q
+
 let barrett_params q =
-  let bits =
-    let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
-    go 0 q
-  in
+  let bits = bit_width q in
   if bits <= 30 then ((1 lsl (2 * bits)) / q, bits - 1, bits + 1)
   else (max_int / q, 32, 30)
 
@@ -115,6 +123,10 @@ let make ~modulus ~ring_degree =
     bitrev.(i) <- !r
   done;
   let barrett_mu, barrett_a, barrett_b = barrett_params modulus in
+  (* With b the bit-width of q and s = 29 + b: x < 2^32 and
+     mu = floor(2^s / q) < 2^30 keep x * mu below 2^62, and the quotient
+     estimate is short of floor(x / q) by x / 2^s < 2^(3-b) < 1. *)
+  let lift_shift = 29 + bit_width modulus in
   {
     modulus;
     n;
@@ -124,6 +136,9 @@ let make ~modulus ~ring_degree =
     barrett_mu;
     barrett_a;
     barrett_b;
+    lift_offset = ((1 lsl 30) + modulus - 1) / modulus * modulus;
+    lift_mu = (1 lsl lift_shift) / modulus;
+    lift_shift;
     psi_pows;
     psi_pows_shoup = shoup_of modulus psi_pows;
     psi_inv_pows;
@@ -291,6 +306,34 @@ let pointwise_mul_acc_gather_shoup p dst a perm b b' =
 let reduce_scalar p v =
   let r = v mod p.modulus in
   if r < 0 then r + p.modulus else r
+
+let[@inline] reduce_centered p c =
+  let x = c + p.lift_offset in
+  let q = p.modulus in
+  let r = x - (((x * p.lift_mu) lsr p.lift_shift) * q) in
+  if r >= q then r - q else r
+
+(* The digit lift of key switching and mod-down: each residue of [src]
+   (modulo [src_modulus]) is lifted to its centered representative and
+   re-reduced into this plan's prime. Exact because the centered lift is
+   a genuine small integer. *)
+let lift_row p ~src_modulus src dst =
+  let half = src_modulus / 2 in
+  for j = 0 to p.n - 1 do
+    let v = Array.unsafe_get src j in
+    let c = if v > half then v - src_modulus else v in
+    Array.unsafe_set dst j (reduce_centered p c)
+  done
+
+let shoup_companion p w = shoup w p.modulus
+
+let sub_mul_shoup p dst a w w' =
+  let q = p.modulus in
+  for j = 0 to p.n - 1 do
+    let d = Array.unsafe_get a j - Array.unsafe_get dst j in
+    let d = if d < 0 then d + q else d in
+    Array.unsafe_set dst j (mul_shoup d w w' q)
+  done
 
 let negacyclic_convolution p a b =
   let fa = Array.copy a and fb = Array.copy b in

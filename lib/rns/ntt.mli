@@ -64,6 +64,27 @@ val pointwise_mul_acc_gather_shoup :
 val reduce_scalar : plan -> int -> int
 (** Exact reduction of any native int (possibly negative) into [0, q). *)
 
+val reduce_centered : plan -> int -> int
+(** [reduce_centered p c] is [reduce_scalar p c] for [|c| <= 2^30] (the
+    centered lift of a residue modulo any supported prime), computed
+    without a division: one Barrett quotient estimate and one
+    conditional subtract. Outside that range the result is wrong. *)
+
+val lift_row : plan -> src_modulus:int -> int array -> int array -> unit
+(** [lift_row p ~src_modulus src dst]: [dst.(j)] is the centered lift of
+    [src.(j)] (a residue modulo [src_modulus]) reduced into [p]'s prime
+    with {!reduce_centered}. The digit lift of key switching. *)
+
+val shoup_companion : plan -> int -> int
+(** [shoup_companion p w] is [floor (w * 2^31 / q)], the constant that
+    {!sub_mul_shoup} multiplies by [w] with. *)
+
+val sub_mul_shoup : plan -> int array -> int array -> int -> int -> unit
+(** [sub_mul_shoup p dst a w w']: [dst.(j) <- (a.(j) - dst.(j)) * w mod q]
+    in place, for canonical [a], [dst] and [w] with
+    [w' = shoup_companion p w]. The divide-by-special-prime step of
+    mod-down, bit-identical to {!Modarith.sub} then {!Modarith.mul}. *)
+
 val negacyclic_convolution : plan -> int array -> int array -> int array
 (** Reference entry point: full multiply of two coefficient-domain inputs,
     used in tests to validate against the schoolbook product. *)

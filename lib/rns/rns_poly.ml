@@ -468,7 +468,6 @@ let rescale_in_eval t =
   if l < 2 then invalid_arg "Rns_poly.rescale_in_eval: single limb";
   let top_ci = t.chain_idx.(l - 1) in
   let q_top = Crt.modulus t.ctx top_ci in
-  let half = q_top / 2 in
   let n = ring_degree t in
   Limb_pool.with_row n (fun top ->
       Array.blit t.data.(l - 1) 0 top 0 n;
@@ -480,20 +479,11 @@ let rescale_in_eval t =
       Domain_pool.parallel_for (l - 1) (fun k ->
           let ci = t.chain_idx.(k) in
           let plan = Crt.plan t.ctx ci in
-          let q = Crt.modulus t.ctx ci in
           let inv = invs.(k) in
-          let x = t.data.(k) in
           let row = data.(k) in
-          for i = 0 to n - 1 do
-            let v = Array.unsafe_get top i in
-            let c = if v > half then v - q_top else v in
-            Array.unsafe_set row i (Ntt.reduce_scalar plan c)
-          done;
+          Ntt.lift_row plan ~src_modulus:q_top top row;
           Ntt.forward plan row;
-          for i = 0 to n - 1 do
-            let d = Modarith.sub (Array.unsafe_get x i) (Array.unsafe_get row i) ~modulus:q in
-            Array.unsafe_set row i (Modarith.mul d inv ~modulus:q)
-          done);
+          Ntt.sub_mul_shoup plan row t.data.(k) inv (Ntt.shoup_companion plan inv));
       { t with chain_idx = Array.sub t.chain_idx 0 (l - 1); data; pooled = true })
 
 let extend_limb t ~target_chain_idx =

@@ -2,7 +2,6 @@ module B = Ace_util.Bytesio
 module Pipeline = Ace_driver.Pipeline
 module Fhe_wire = Ace_fhe.Fhe_wire
 module Telemetry = Ace_telemetry.Telemetry
-module Sched = Ace_codegen.Sched
 
 type config = {
   socket_path : string;
@@ -47,9 +46,9 @@ let m_cancelled = lazy (Telemetry.metric "serve.cancelled")
 
 (* One slice of execution: long enough that the per-slice bookkeeping
    (a select, a pick) is noise, short enough that a light request never
-   waits long behind a heavy one. It is wall-clock, not predicted units:
-   the measured µs per predicted unit spans 0.025 to 125 across node
-   categories. A node longer than a slice still runs whole. *)
+   waits long behind a heavy one. It ends at the first node or
+   key-switch piece boundary past the deadline, so a request waits at
+   most a slice plus one piece (~0.5-2.5 ms at N = 2^11). *)
 let slice_seconds = 0.005
 
 type model_state = {
@@ -58,7 +57,7 @@ type model_state = {
   ms_hash : string;
   mutable ms_compiled : Pipeline.compiled;
   mutable ms_from_cache : bool;
-  ms_exec_units : float;  (** predicted cost of one homomorphic execution *)
+  ms_exec_units : float;  (** predicted ns of one homomorphic execution *)
 }
 
 type session = {
@@ -200,7 +199,7 @@ let load_model t name spec =
     ms_hash = hash;
     ms_compiled = compiled;
     ms_from_cache = from_cache;
-    ms_exec_units = Sched.func_cost compiled.Pipeline.ckks;
+    ms_exec_units = Pipeline.runtime_exec_ns compiled;
   }
 
 let model_info (ms : model_state) =

@@ -31,8 +31,8 @@
     no key material travels with a request.
 
     {b Admission} bounds both the request count and the predicted work
-    (sum of {!Ace_codegen.Sched.node_cost} over the schedule, amortized
-    per request) sitting in the queue; work that has started no longer
+    (nanoseconds, {!Ace_driver.Pipeline.runtime_exec_ns}, amortized per
+    request) sitting in the queue; work that has started no longer
     counts. Compatible requests — same (tenant, model), [coalesce] set,
     distinct batch regions, real packing — are merged onto one
     ciphertext's batch axis with a single homomorphic execution serving
@@ -61,12 +61,12 @@ type config = {
   batch : int;
   complex : bool;
   max_queue : int;  (** admission cap: queued requests *)
-  max_units : float;  (** admission cap: queued predicted work units *)
+  max_units : float;  (** admission cap: queued predicted work, in ns *)
   server_name : string;
 }
 
 val default_config : config
-(** [ace] strategy, batch 1, real packing, queue cap 64, unit cap [1e12],
+(** [ace] strategy, batch 1, real packing, queue cap 64, work cap [1e12] ns,
     no cache dir, socket ["/tmp/ace-serve.sock"], no models. *)
 
 type t
@@ -97,12 +97,17 @@ type next =
   | Idle
 
 val pick : queued:float list -> running:float list -> next
-(** [queued]: each queued job's predicted execution units, in admission
-    order; [running]: each running execution's predicted units left, in
-    start order. A queued job starts only if it is strictly cheaper than
+(** [queued]: each queued job's predicted execution time
+    ({!Ace_codegen.Sched.node_ns}, priced at its model's ring degree), in
+    admission order; [running]: each running execution's predicted ns
+    left ({!Ace_driver.Pipeline.remaining}, a node suspended part-way
+    counting whole), in start order. Both are nanoseconds, so a small-ring
+    request compares correctly against the tail of a large-ring one. A queued job starts only if it is strictly cheaper than
     the smallest remainder among running executions (or nothing runs);
     the cheapest starts first, admission order breaking ties. Otherwise
     the running execution with the least work left gets the slice, the
     earliest-started on a tie — so equal-cost streams stay FIFO and are
-    never preempted. Pure; the loop applies it until it yields a slice
-    or [Idle]. *)
+    never preempted. A slice ends at the first node or key-switch piece
+    boundary past 5 ms ({!Ace_codegen.Vm.step}), so a request that starts
+    waits at most one slice plus one piece. Pure; the loop applies it
+    until it yields a slice or [Idle]. *)

@@ -66,8 +66,9 @@ type model_info = {
   mi_input_layout : Ace_vector.Layout.t;
   mi_output_layouts : Ace_vector.Layout.t list;
   mi_predicted_units : float;
-      (** cost-model work of one execution ({!Ace_codegen.Sched.node_cost}
-          units) — the quantity admission control budgets *)
+      (** predicted time of one execution in nanoseconds
+          ({!Ace_driver.Pipeline.runtime_exec_ns}) — the quantity
+          admission control budgets; the field keeps its name *)
   mi_from_cache : bool;  (** schedule came from the disk artifact cache *)
 }
 
@@ -94,7 +95,7 @@ type request =
 
 type stats = {
   sv_queue_depth : int;
-  sv_queued_units : float;
+  sv_queued_units : float;  (** predicted ns of the queued requests *)
   sv_served : int;
   sv_rejected : int;
   sv_coalesced : int;
@@ -110,6 +111,7 @@ type response =
   | Keys_ok
   | Result of { request_id : string; ct : string }
   | Overloaded of { queue_depth : int; queued_units : float }
+      (** [queued_units]: predicted ns already queued *)
   | Err of { code : error_code; message : string }
   | Stats_ok of stats
   | Reloaded of { model : string; from_cache : bool }

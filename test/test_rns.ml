@@ -387,6 +387,61 @@ let prop_poly_mul_distributes =
       let open Rns_poly in
       equal (mul a (add b c)) (add (mul a b) (mul a c)))
 
+(* The division-free kernels of key switching against the [mod] versions
+   they replace, at every prime of the contexts the runtime builds (the
+   special prime included), over the whole centered range a digit lift
+   can produce: |c| <= 2^30, the half-width of a 31-bit prime. *)
+let runtime_plans =
+  lazy
+    (List.concat_map
+       (fun (log2_n, scale_bits) ->
+         let ctx =
+           Ace_fhe.Context.make
+             {
+               Ace_fhe.Context.default_params with
+               log2_n;
+               scale_bits;
+               security = Ace_fhe.Security.Toy;
+             }
+         in
+         let crt = Ace_fhe.Context.crt ctx in
+         List.init (Crt.num_moduli crt) (Crt.plan crt))
+       [ (5, 20); (11, 26); (12, 25); (13, 28) ])
+
+let prop_reduce_centered =
+  let bound = 1 lsl 30 in
+  QCheck.Test.make ~name:"reduce_centered = reduce_scalar at every runtime prime" ~count:200
+    QCheck.(list_of_size (Gen.return 64) (int_range (-bound) bound))
+    (fun cs ->
+      let cs = (-bound) :: bound :: 0 :: (-1) :: 1 :: cs in
+      List.for_all
+        (fun plan ->
+          let q = Ntt.modulus plan in
+          List.for_all
+            (fun c -> Ntt.reduce_centered plan c = Ntt.reduce_scalar plan c)
+            ((q - 1) :: (1 - q) :: (q / 2) :: (-(q / 2)) :: cs))
+        (Lazy.force runtime_plans))
+
+let prop_sub_mul_shoup =
+  QCheck.Test.make ~name:"sub_mul_shoup = Modarith.sub then mul at every runtime prime"
+    ~count:50 QCheck.int
+    (fun seed ->
+      let r = Rng.create seed in
+      List.for_all
+        (fun plan ->
+          let q = Ntt.modulus plan and n = Ntt.ring_degree plan in
+          let a = Array.init n (fun _ -> Rng.int r q) and dst = Array.init n (fun _ -> Rng.int r q) in
+          a.(0) <- q - 1;
+          dst.(0) <- 0;
+          if n > 1 then dst.(1) <- q - 1;
+          let w = Rng.int r q in
+          let expect =
+            Array.init n (fun j -> Modarith.mul (Modarith.sub a.(j) dst.(j) ~modulus:q) w ~modulus:q)
+          in
+          Ntt.sub_mul_shoup plan dst a w (Ntt.shoup_companion plan w);
+          dst = expect)
+        (Lazy.force runtime_plans))
+
 let () =
   Alcotest.run "rns"
     [
@@ -412,6 +467,8 @@ let () =
           Alcotest.test_case "barrett widths vs bignum" `Quick test_barrett_pointwise_mul_widths;
           Alcotest.test_case "barrett multiply-accumulate" `Quick test_barrett_pointwise_mul_acc;
           Alcotest.test_case "reduce scalar" `Quick test_reduce_scalar;
+          QCheck_alcotest.to_alcotest prop_reduce_centered;
+          QCheck_alcotest.to_alcotest prop_sub_mul_shoup;
         ] );
       ( "crt",
         [

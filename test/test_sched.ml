@@ -150,8 +150,11 @@ let test_unread_view_releases_batch () =
 
 (* ---- resumable execution: Vm.start / Vm.step / Vm.abort ---- *)
 
+let suspensions () = Ace_telemetry.Telemetry.(count_of (metric "vm.node_suspensions"))
+
 (* Two executions of ONE prepared runtime (sharing its plaintext cache),
-   stepped alternately one node at a time, must each equal a plain
+   stepped alternately one node or key-switch piece at a time (so every
+   key switch suspends at every piece boundary), must each equal a plain
    Vm.run on a separate runtime, bit for bit. *)
 let check_interleaved_identity what c =
   let keys = Pipeline.make_keys c ~seed:45 in
@@ -176,9 +179,10 @@ let check_interleaved_identity what c =
      cheaper than a fresh execution. *)
   List.iter
     (fun e ->
-      Alcotest.(check bool) (what ^ ": fresh remaining = func_cost") true
-        (Vm.remaining e = Sched.func_cost c.Pipeline.ckks))
+      Alcotest.(check bool) (what ^ ": fresh remaining = runtime price") true
+        (Vm.remaining e = Pipeline.runtime_exec_ns c))
     execs;
+  let suspended0 = suspensions () in
   let outs = Array.make 2 None and steps = Array.make 2 0 in
   while Array.exists Option.is_none outs do
     List.iteri
@@ -189,12 +193,19 @@ let check_interleaved_identity what c =
         end)
       execs
   done;
+  (* A deadline in the past ends every step at the first boundary: a
+     node, or a piece of a key-switching node. *)
+  let nodes = Irfunc.num_nodes c.Pipeline.ckks in
   Array.iteri
     (fun i n ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s: execution %d took one node per step" what i)
-        (Irfunc.num_nodes c.Pipeline.ckks) n)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: execution %d took at most one node per step" what i)
+        true (n >= nodes))
     steps;
+  Alcotest.(check int) (what ^ ": every extra step is one suspension")
+    (suspensions () - suspended0)
+    (steps.(0) + steps.(1) - (2 * nodes));
+  Alcotest.(check bool) (what ^ ": key switches suspended") true (suspensions () > suspended0);
   List.iteri
     (fun i want ->
       match outs.(i) with
@@ -242,6 +253,67 @@ let test_abort_releases_slabs () =
   check_ct_equal "input intact" (Pipeline.run_encrypted_rt rt ct)
     (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x))
 
+(* An execution aborted while a key switch is suspended gives back every
+   row and slab: the suspended job's accumulators, digits and images go
+   through its own release path, the rest through liveness. *)
+let test_abort_mid_key_switch () =
+  with_slab_pool @@ fun () ->
+  let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
+  let c = Pipeline.compile ~context:ctx Pipeline.ace (Import.import (conv_relu_graph ())) in
+  let keys = Pipeline.make_keys c ~seed:45 in
+  let rt = Pipeline.make_runtime c keys ~seed:8 in
+  let x = Array.make 32 0.25 in
+  ignore (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x));
+  let ct = Pipeline.encrypt_input c keys ~seed:7 x in
+  let vm = Pipeline.runtime_vm rt in
+  (* Suspend at every boundary, abort at the [k]-th suspension. *)
+  List.iter
+    (fun k ->
+      Limb_pool.reset_stats ();
+      let e = Vm.start vm [ ct ] in
+      let s0 = suspensions () in
+      while suspensions () - s0 < k do
+        Alcotest.(check bool) "not finished" true (Vm.step e ~until:neg_infinity = None)
+      done;
+      Vm.abort e;
+      let s = Limb_pool.stats () in
+      Alcotest.(check int)
+        (Printf.sprintf "abort at suspension %d: slab acquires = releases + drops" k)
+        (s.Limb_pool.slab_hits + s.slab_misses)
+        (s.slab_releases + s.slab_dropped);
+      Alcotest.(check int)
+        (Printf.sprintf "abort at suspension %d: row acquires = releases + drops" k)
+        (s.Limb_pool.row_hits + s.row_misses)
+        (s.row_releases + s.row_dropped))
+    [ 1; 2; 3; 5; 8; 13; 40 ];
+  check_ct_equal "input intact" (Pipeline.run_encrypted_rt rt ct)
+    (Pipeline.run_encrypted_rt rt (Pipeline.encrypt_input c keys ~seed:7 x))
+
+(* The serving daemon's price of a model (Pipeline.runtime_exec_ns) is a
+   fresh execution's remainder exactly, at a small ring and a large one:
+   the pick rule compares the two strictly. *)
+let test_price_is_fresh_remainder () =
+  List.iter
+    (fun (spec_str, n) ->
+      let spec =
+        match Ace_serve.Model_spec.parse spec_str with Ok s -> s | Error e -> failwith e
+      in
+      let c = Pipeline.compile Pipeline.ace (Ace_serve.Model_spec.nn spec) in
+      let ctx = c.Pipeline.context in
+      let keys = Fhe.Keys.generate ctx ~rng:(Rng.create 3) ~rotations:[] in
+      let vm =
+        Vm.prepare ~cache_plaintexts:true ~keys
+          ~bootstrap:(fun ~node:_ ~target_level:_ x -> x)
+          c.Pipeline.ckks
+      in
+      let e = Vm.start vm [] in
+      Alcotest.(check int) (spec_str ^ ": ring degree") n (Fhe.Context.ring_degree ctx);
+      Alcotest.(check bool)
+        (spec_str ^ ": fresh remainder = price")
+        true
+        (Vm.remaining e = Pipeline.runtime_exec_ns c))
+    [ ("gemv:16:4", 32); ("resnet:8:10:8:4", 2048) ]
+
 (* Sched.plan on a real compiled model: the validator must accept the
    plan the VM executes. *)
 let test_compiled_schedule_checks () =
@@ -279,5 +351,9 @@ let () =
           Alcotest.test_case "bootstrapped: two interleaved executions = Vm.run" `Quick
             test_interleaved_bootstrapped;
           Alcotest.test_case "abort returns every slab" `Quick test_abort_releases_slabs;
+          Alcotest.test_case "abort mid key switch returns every row and slab" `Quick
+            test_abort_mid_key_switch;
+          Alcotest.test_case "price = fresh remainder at N = 2^5 and 2^11" `Quick
+            test_price_is_fresh_remainder;
         ] );
     ]

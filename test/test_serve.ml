@@ -289,6 +289,45 @@ let test_light_overtakes_heavy () =
       Client.close th;
       Client.close tl)
 
+(* Nanosecond prices: a light request (N = 2^5) admitted while a
+   larger-ring execution is in its last 10% of predicted time is
+   strictly cheaper than that remainder, so the pick rule starts it; it
+   is answered before the heavy one finishes, and both outputs equal
+   local runs. The old limb-count units priced gemv:16:4 (13 limbs)
+   above the tail of a wide-ring run. *)
+let test_light_first_in_heavy_tail () =
+  let prepare spec ~key_seed =
+    let c = Pipeline.compile ~batch:1 ~complex:false Pipeline.ace (Model_spec.nn spec) in
+    let keys = Pipeline.make_keys c ~seed:key_seed in
+    (c, keys, Pipeline.make_runtime c keys ~seed:0)
+  in
+  let hc, hkeys, hrt = prepare big_spec ~key_seed:31 and lc, lkeys, lrt = prepare spec ~key_seed:32 in
+  let ring c = Ace_fhe.Context.ring_degree c.Pipeline.context in
+  Alcotest.(check bool) "heavy ring is larger" true (ring hc > ring lc);
+  let big_image = random_image ~elems:128 33 and small_image = random_image 34 in
+  let heavy = Pipeline.start_rt hrt (Pipeline.encrypt_input hc hkeys ~seed:35 big_image) in
+  let price = Pipeline.runtime_exec_ns hc in
+  while Pipeline.remaining heavy > 0.1 *. price do
+    Alcotest.(check bool) "heavy still running" true
+      (Pipeline.step heavy ~until:(Unix.gettimeofday () +. 0.005) = None)
+  done;
+  let light_price = Pipeline.runtime_exec_ns lc in
+  (match Server.pick ~queued:[ light_price ] ~running:[ Pipeline.remaining heavy ] with
+  | Server.Start 0 -> ()
+  | _ ->
+    Alcotest.failf "light (%.0f ns) not started against a %.0f ns remainder" light_price
+      (Pipeline.remaining heavy));
+  let light = Pipeline.start_rt lrt (Pipeline.encrypt_input lc lkeys ~seed:36 small_image) in
+  let run_to_end x = match Pipeline.step x ~until:infinity with Some ct -> ct | None -> assert false in
+  let light_out = run_to_end light in
+  Alcotest.(check bool) "heavy not finished when light answered" true (Pipeline.remaining heavy > 0.0);
+  let heavy_out = run_to_end heavy in
+  Alcotest.(check bool) "light bit-identical to local" true
+    (Pipeline.decrypt_output lc lkeys light_out = local_output spec ~key_seed:32 ~seed:36 small_image);
+  Alcotest.(check bool) "heavy bit-identical to local" true
+    (Pipeline.decrypt_output hc hkeys heavy_out
+    = local_output big_spec ~key_seed:31 ~seed:35 big_image)
+
 (* The slice-pick rule. *)
 let units = QCheck.(list_of_size Gen.(0 -- 6) (map float_of_int (int_range 1 5)))
 
@@ -637,7 +676,12 @@ let () =
           Alcotest.test_case "light request overtakes a multi-slice one" `Quick
             test_light_overtakes_heavy;
         ] );
-      ("pick", [ QCheck_alcotest.to_alcotest prop_pick_rule ]);
+      ( "pick",
+        [
+          QCheck_alcotest.to_alcotest prop_pick_rule;
+          Alcotest.test_case "light first in a wider ring's last 10%" `Quick
+            test_light_first_in_heavy_tail;
+        ] );
       ( "queue",
         [
           QCheck_alcotest.to_alcotest prop_byte_queue_model;

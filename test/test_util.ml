@@ -10,6 +10,48 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* The stream is part of the artifact format: keys, ciphertexts and the
+   benchmark's inputs are all derived from it, so its first outputs are
+   pinned, for two seeds and through every sampler. *)
+let test_rng_pinned_stream () =
+  let pins =
+    [
+      ( 1,
+        [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L ],
+        [ 657; 711; 878; 331; 857 ],
+        [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1 ],
+        [ -0x1.72466b1ed2879p-4; -0x1.756c606bc0c92p-1; 0x1.51cef54cd925ep-2 ],
+        [ -1; 1; -1; 0; 1; 1; -1; 0 ],
+        (6791897765849424158L, -4689498862643123097L) );
+      ( 42,
+        [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ],
+        [ 605; 291; 954; 860; 250 ],
+        [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2 ],
+        [ 0x1.53bd0910590d5p+0; -0x1.6d510c3edaecap+1; 0x1.62387d7676898p+2 ],
+        [ 1; 0; 1; 1; 0; -1; 0; 1 ],
+        (6332618229526065668L, 2949826092126892291L) );
+    ]
+  in
+  List.iter
+    (fun (seed, bits, ints, floats, gaussians, ternaries, (split_first, parent_next)) ->
+      let draw f expect =
+        let r = Rng.create seed in
+        List.map (fun _ -> f r) expect
+      in
+      let what s = Printf.sprintf "seed %d: %s" seed s in
+      Alcotest.(check (list int64)) (what "bits64") bits (draw Rng.bits64 bits);
+      Alcotest.(check (list int)) (what "int") ints (draw (fun r -> Rng.int r 1000) ints);
+      Alcotest.(check (list (float 0.0))) (what "float") floats (draw (fun r -> Rng.float r 1.0) floats);
+      Alcotest.(check (list (float 0.0)))
+        (what "gaussian") gaussians
+        (draw (fun r -> Rng.gaussian r 3.2) gaussians);
+      Alcotest.(check (list int)) (what "ternary") ternaries (draw Rng.ternary ternaries);
+      let r = Rng.create seed in
+      let s = Rng.split r in
+      Alcotest.(check int64) (what "split child") split_first (Rng.bits64 s);
+      Alcotest.(check int64) (what "split parent") parent_next (Rng.bits64 r))
+    pins
+
 let test_rng_bounds () =
   let r = Rng.create 7 in
   for _ = 1 to 10_000 do
@@ -119,6 +161,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "pinned stream, two seeds, every sampler" `Quick test_rng_pinned_stream;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "ternary range" `Quick test_rng_ternary_range;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;

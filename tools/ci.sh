@@ -201,21 +201,23 @@ dune exec tools/ace_report.exe -- "$smetrics" \
   --min-count serve.admitted 12 --min-count request.latency 12
 
 # Sliced serving: one daemon serving a light model and a multi-slice one
-# (~1000 nodes, ~0.2 s per execution) to two pipelined clients on two
-# connections at once, with pool debugging on (released buffers
-# poisoned, double releases caught).  Both clients verify every output
-# against the cleartext reference and match replies by request id; the
-# flushed metrics must carry the slicing family.
+# (gemv:256:256, N = 2^9, whose hoisted rotation batches run for tens of
+# milliseconds) to two pipelined clients on two connections at once, with
+# pool debugging on (released buffers poisoned, double releases caught).
+# Slices end inside key-switch nodes, so executions suspend and resume
+# mid-node.  Both clients verify every output against the cleartext
+# reference and match replies by request id; the flushed metrics must
+# carry the slicing family and at least one mid-node suspension.
 echo "== sliced serving, two models, ACE_POOL_DEBUG=1 =="
 smetrics2="/tmp/ace_metrics_slices.jsonl"
 rm -f "$ssock" "$smetrics2"
 ACE_DOMAINS=1 ACE_POOL_DEBUG=1 ACE_METRICS_INTERVAL=0.2 ACE_METRICS_PATH="$smetrics2" \
   ./_build/default/bin/ace_serve.exe --socket "$ssock" \
-    --model light=gemv:16:4 --model big=gemv:128:128 2>/dev/null &
+    --model light=gemv:16:4 --model big=gemv:256:256 2>/dev/null &
 spid=$!
 for _ in $(seq 1 100); do [ -S "$ssock" ] && break; sleep 0.2; done
 ./_build/default/bin/ace_client.exe --socket "$ssock" --model big --tenant heavy \
-  --requests 3 --verify --spec gemv:128:128 >/dev/null &
+  --requests 3 --verify --spec gemv:256:256 >/dev/null &
 cpid=$!
 ./_build/default/bin/ace_client.exe --socket "$ssock" --model light --tenant light \
   --requests 48 --verify --spec gemv:16:4 >/dev/null
@@ -223,7 +225,8 @@ wait "$cpid"
 kill -TERM "$spid"
 wait "$spid"
 dune exec tools/ace_report.exe -- "$smetrics2" \
-  --require serve.queue_wait --require serve.exec_wall --require serve.slices
+  --require serve.queue_wait --require serve.exec_wall --require serve.slices \
+  --min-count vm.node_suspensions 1
 
 # Differential quick tier: 5 seeded random graphs, encrypted vs cleartext
 # at 1 and 4 domains with bit-identity across both.  (The full 25-graph suite runs with ACE_DIFF_FULL=1; CI keeps the
