@@ -8,6 +8,14 @@ type config = {
   min_level_bootstrap : bool;
 }
 
+type decision = {
+  origin : string;
+  entry_level : int;
+  height : int;
+  ns : float;
+  old_ns : float;
+}
+
 exception Lowering_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Lowering_error s)) fmt
@@ -16,12 +24,9 @@ let close a b = abs_float (a -. b) /. b < 1e-9
 
 (* Multiplicative depth still to be consumed after each SIHE node, capped
    at the boundary of the producing operator (backward dataflow over
-   provenance segments). A bootstrap target then covers exactly the
+   provenance segments). A bootstrap target then covers at most the
    current operator — one convolution, or one whole ReLU polynomial — and
-   the next operator re-bootstraps for itself. This is the paper's
-   "bootstrap only to the minimal levels needed before the next
-   bootstrapping point": convolutions run at level 2-3 where rotations
-   are cheap, and each ReLU gets a fresh minimal tower. *)
+   the next operator re-bootstraps for itself. *)
 let depth_to_go src =
   let n = Irfunc.num_nodes src in
   let dtg = Array.make n 0 in
@@ -38,25 +43,61 @@ let depth_to_go src =
   done;
   dtg
 
+(* The longest chain of multiplications from the inputs to any node. *)
+let total_depth src =
+  let d = Array.make (Irfunc.num_nodes src) 0 in
+  Irfunc.fold src ~init:0 ~f:(fun acc n ->
+      let deepest = Array.fold_left (fun m a -> max m d.(a)) 0 n.Irfunc.args in
+      let v = deepest + match n.Irfunc.op with Op.S_mul -> 1 | _ -> 0 in
+      d.(n.Irfunc.id) <- v;
+      max acc v)
+
+(* How the current operator's operands find their levels. [Old] is the
+   rule without a height: an operand keeps whatever level it arrives
+   with and bootstraps, once exhausted, to [min chain want] (or to the
+   full chain without [min_level_bootstrap]). [Height h] first brings
+   every operand from another operator to [min h want] — down by a
+   mod-switch chain, up by a bootstrap — and bootstraps an exhausted
+   value to [min h want].
+
+   Under a height, a value with more multiplications ahead than the one
+   it feeds counts as exhausted one level early, at level 1. Level 0
+   keeps only the bottom prime, 3 bits above Delta: room for an
+   operator's output, not for the partial sums inside a polynomial,
+   whose coefficients reach tens (a product at level 1 sits on that same
+   bottom prime). So intermediates run on levels 1 .. h, and heights
+   start at 2 for an operator deeper than one multiplication. The same
+   floor holds for [Old] whenever heights are priced: an operator can
+   now arrive at level 1, which the full-tower rule never handed it. *)
+type choice = Old | Height of int
+
 type state = {
   cfg : config;
   src : Irfunc.t;
   dst : Irfunc.t;
   dtg : int array;
   map : int array; (* src id -> current dst id (clear or cipher) *)
-  scale : (int, float) Hashtbl.t; (* dst id -> scale (ciphers only) *)
-  level : (int, int) Hashtbl.t;
   encode_cache : (int * int * int64, int) Hashtbl.t;
   delta : float;
+  chain : int;
+  priced : bool; (* heights are chosen: intermediates stay off level 0 *)
+  mutable choice : choice;
+  mutable seg_start : int; (* first src id of the current operator *)
+  entry_want : (int, int) Hashtbl.t;
+      (* operand from another operator -> the most depth any of its uses
+         in the current operator needs *)
+  mutable overrides : (int * int) list;
+      (* (src, dst id before) for operands mod-switched down for the
+         current operator only: the next operator sees them as they came *)
+  mutable journal : (int * int) list option;
+      (* while speculating: (src, dst id before) of every map write *)
+  mutable new_encodes : (int * int * int64) list; (* while speculating *)
 }
 
-let scale_of st id = Hashtbl.find st.scale id
-let level_of st id = Hashtbl.find st.level id
+let level_of st id = (Irfunc.node st.dst id).Irfunc.node_level
+let scale_of st id = (Irfunc.node st.dst id).Irfunc.scale
 
-let annotate st id ~scale ~level =
-  Hashtbl.replace st.scale id scale;
-  Hashtbl.replace st.level id level;
-  let n = Irfunc.node st.dst id in
+let annotate (n : Irfunc.node) ~scale ~level =
   n.Irfunc.scale <- scale;
   n.Irfunc.node_level <- level
 
@@ -71,12 +112,7 @@ let emit st op args ~scale ~level =
     | _ -> Types.Cipher
   in
   let id = Irfunc.add st.dst op args ty in
-  if ty <> Types.Plain then annotate st id ~scale ~level
-  else begin
-    let n = Irfunc.node st.dst id in
-    n.Irfunc.scale <- scale;
-    n.Irfunc.node_level <- level
-  end;
+  annotate (Irfunc.node st.dst id) ~scale ~level;
   id
 
 (* The prime consumed when rescaling from [level]. *)
@@ -126,16 +162,38 @@ let bootstrap st id ~target =
   let id = to_delta st id in
   emit st (Op.C_bootstrap target) [| id |] ~scale:st.delta ~level:target
 
-(* Ensure a (normalized) operand can pay for [want] more multiplicative
-   levels; bootstrap if it cannot. *)
-let ensure_capacity st id ~want =
-  let chain = Context.max_level st.cfg.context in
+let set_map st src id =
+  (match st.journal with
+  | Some j -> st.journal <- Some ((src, st.map.(src)) :: j)
+  | None -> ());
+  st.map.(src) <- id
+
+(* Memoize normalization: the rewritten id represents the same value, so
+   later uses start from it instead of re-reducing (or re-bootstrapping). *)
+let update st src id = set_map st src id; id
+
+(* Reduce operand [a_src] and make it able to pay for [want] more
+   multiplicative levels under the current operator's choice. *)
+let ensure st a_src ~want =
+  let id = update st a_src (reduce st st.map.(a_src)) in
   let l = level_of st id in
-  if l >= 1 then id
-  else begin
-    let target = if st.cfg.min_level_bootstrap then max 1 (min chain want) else chain in
-    bootstrap st id ~target
-  end
+  match st.choice with
+  | Old ->
+    if l >= (if st.priced then min want 2 else 1) then id
+    else
+      let target = if st.cfg.min_level_bootstrap then max 1 (min st.chain want) else st.chain in
+      update st a_src (bootstrap st id ~target)
+  | Height h when a_src < st.seg_start ->
+    let target = max 1 (min h (Hashtbl.find st.entry_want a_src)) in
+    (* [target >= min want 2]: heights start at 2 for deeper operators *)
+    if l > target then begin
+      st.overrides <- (a_src, id) :: st.overrides;
+      update st a_src (mod_switch_to st id target)
+    end
+    else if l < target then update st a_src (bootstrap st id ~target)
+    else id
+  | Height h ->
+    if l >= min want 2 then id else update st a_src (bootstrap st id ~target:(max 1 (min h want)))
 
 (* Plain operand: the SIHE graph routes it through S_encode(clear); fetch
    the clear node and encode at exactly the requested scale and level. *)
@@ -152,13 +210,10 @@ let encode_at st src_plain_id ~scale ~level =
   | None ->
     let id = emit st Op.C_encode [| st.map.(clear_src) |] ~scale ~level in
     Hashtbl.add st.encode_cache key id;
+    if st.journal <> None then st.new_encodes <- key :: st.new_encodes;
     id
 
 let is_plain_src st id = (Irfunc.node st.src id).Irfunc.ty = Types.Plain
-
-(* Memoize normalization: the rewritten id represents the same value, so
-   later uses start from it instead of re-reducing (or re-bootstrapping). *)
-let update st src id = st.map.(src) <- id; id
 
 let lower_add_sub st (node : Irfunc.node) op =
   let a_src = node.Irfunc.args.(0) and b_src = node.Irfunc.args.(1) in
@@ -185,7 +240,7 @@ let lower_mul st (node : Irfunc.node) =
     (* cipher x plain: encode the mask at [q_l * Delta / s] so the product
        sits at exactly Delta * q_l and the eventual rescale restores
        Delta — absorbing any drift the operand carried. *)
-    let a = update st a_src (ensure_capacity st (reduce st st.map.(a_src)) ~want) in
+    let a = ensure st a_src ~want in
     let l = level_of st a in
     let enc_scale = prime st l *. st.delta /. scale_of st a in
     let p = encode_at st b_src ~scale:enc_scale ~level:l in
@@ -193,11 +248,8 @@ let lower_mul st (node : Irfunc.node) =
     if st.cfg.lazy_rescale then prod else rescale st prod
   end
   else begin
-    let a = update st a_src (ensure_capacity st (reduce st st.map.(a_src)) ~want) in
-    let b =
-      if a_src = b_src then a
-      else update st b_src (ensure_capacity st (reduce st st.map.(b_src)) ~want)
-    in
+    let a = ensure st a_src ~want in
+    let b = if a_src = b_src then a else ensure st b_src ~want in
     let target = min (level_of st a) (level_of st b) in
     let a = mod_switch_to st a target and b = mod_switch_to st b target in
     let prod =
@@ -209,6 +261,214 @@ let lower_mul st (node : Irfunc.node) =
     reduce st rel
   end
 
+let lower_node st (n : Irfunc.node) =
+  let out =
+    match n.Irfunc.op with
+    | Op.Param i ->
+      let id = Irfunc.param st.dst i in
+      annotate (Irfunc.node st.dst id) ~scale:st.delta ~level:st.chain;
+      id
+    | Op.Weight _ | Op.Const_scalar _ -> Irfunc.add st.dst n.Irfunc.op [||] n.Irfunc.ty
+    | Op.S_encode -> -2 (* encoded lazily at each use site *)
+    | Op.S_decode -> fail "SIHE.decode belongs to the generated decryptor, not the model"
+    | Op.S_add -> lower_add_sub st n Op.C_add
+    | Op.S_sub -> lower_add_sub st n Op.C_sub
+    | Op.S_mul -> lower_mul st n
+    | Op.S_neg ->
+      let a = st.map.(n.Irfunc.args.(0)) in
+      emit st Op.C_neg [| a |] ~scale:(scale_of st a) ~level:(level_of st a)
+    | Op.S_rotate k ->
+      (* A rotation consumes no level, but if the (shared) source is
+         already exhausted and more multiplications follow, bootstrap
+         here — once, before the fan-out — instead of once per rotated
+         copy (the paper's placement before the consuming operator). *)
+      let a_src = n.Irfunc.args.(0) in
+      let a =
+        if st.dtg.(n.Irfunc.id) > 0 then ensure st a_src ~want:st.dtg.(n.Irfunc.id)
+        else st.map.(a_src)
+      in
+      emit st (Op.C_rotate k) [| a |] ~scale:(scale_of st a) ~level:(level_of st a)
+    | Op.V_add | Op.V_sub | Op.V_mul | Op.V_roll _ | Op.V_broadcast _ | Op.V_pad _
+    | Op.V_reshape _ | Op.V_slice _ | Op.V_tile _ ->
+      Irfunc.add st.dst n.Irfunc.op (Array.map (fun a -> st.map.(a)) n.Irfunc.args) n.Irfunc.ty
+    | op -> fail "unexpected %s in SIHE function" (Op.name op)
+  in
+  st.map.(n.Irfunc.id) <- out
+
+(* Lower the operator [i0, i1) under the current choice. The new nodes
+   take the operator's provenance, and operands mod-switched down for it
+   are handed on as they came. *)
+let lower_segment st i0 i1 =
+  let start = Irfunc.num_nodes st.dst in
+  for i = i0 to i1 - 1 do
+    lower_node st (Irfunc.node st.src i)
+  done;
+  let origin = (Irfunc.node st.src i0).Irfunc.origin in
+  for i = start to Irfunc.num_nodes st.dst - 1 do
+    let m = Irfunc.node st.dst i in
+    if m.Irfunc.origin = "" then m.Irfunc.origin <- origin
+  done;
+  List.iter (fun (src, id) -> st.map.(src) <- id) st.overrides;
+  st.overrides <- []
+
+(* ---------- priced tower height per operator ---------- *)
+
+let price st from =
+  let ring_degree = Context.ring_degree st.cfg.context in
+  let total = ref 0.0 in
+  for i = from to Irfunc.num_nodes st.dst - 1 do
+    total :=
+      !total +. Node_price.node_ns ~ring_degree ~cached_encodes:true (Irfunc.node st.dst i)
+  done;
+  !total
+
+(* Lower the operator under [choice] and price what it emitted. Unless
+   [keep ns] holds, take it all back: the nodes, every operand rewrite
+   and every encode. A candidate the lowering rejects costs [infinity]. *)
+let try_lower st choice i0 i1 ~keep =
+  let start = Irfunc.num_nodes st.dst in
+  st.choice <- choice;
+  st.journal <- Some [];
+  let ns =
+    match lower_segment st i0 i1 with
+    | () -> price st start
+    | exception Lowering_error _ -> infinity
+  in
+  let kept = ns < infinity && keep ns in
+  if not kept then begin
+    Irfunc.truncate st.dst start;
+    List.iter (fun (src, id) -> st.map.(src) <- id) (Option.get st.journal);
+    List.iter (Hashtbl.remove st.encode_cache) st.new_encodes
+  end;
+  st.journal <- None;
+  st.new_encodes <- [];
+  st.overrides <- [];
+  (ns, kept)
+
+(* One scan of the operator [i0, i1). It fills [entry_want] (the deepest
+   need of each operand taken from another operator) and returns the
+   operator's depth, the highest level its operands arrive at, whether
+   the rule without a height lowers it exactly as the tallest height
+   does, and a key that fixes what lowering it emits: its structure
+   relative to [i0] (constant payloads elided: the price does not read
+   them) plus the (type, level, scale) of every operand it takes from
+   outside. *)
+let scan st i0 i1 =
+  Hashtbl.reset st.entry_want;
+  let depth = ref 0 and entry_level = ref 0 in
+  let outside = Hashtbl.create 4 in
+  let entries = ref [] in
+  (* operand from outside -> (level on arrival, want of its first use,
+     whether that first use ensures its capacity) *)
+  let first = Hashtbl.create 4 in
+  let code a =
+    if a >= i0 then a - i0
+    else
+      match Hashtbl.find_opt outside a with
+      | Some k -> k
+      | None ->
+        let k = -1 - Hashtbl.length outside in
+        Hashtbl.add outside a k;
+        let m = st.map.(a) in
+        let ty = (Irfunc.node st.src a).Irfunc.ty in
+        (if m >= 0 && Types.is_ciphertext ty then begin
+           let d = Irfunc.node st.dst m in
+           entry_level := max !entry_level d.Irfunc.node_level;
+           entries := (ty, d.Irfunc.node_level, Int64.bits_of_float d.Irfunc.scale) :: !entries
+         end
+         else entries := (ty, -1, 0L) :: !entries);
+        k
+  in
+  let use a ~want =
+    if a < i0 && not (is_plain_src st a) then begin
+      if not (Hashtbl.mem first a) then
+        Hashtbl.add first a (level_of st st.map.(a), want);
+      if want > 0 then
+        Hashtbl.replace st.entry_want a
+          (max want (Option.value ~default:0 (Hashtbl.find_opt st.entry_want a)))
+    end
+  in
+  let nodes =
+    Array.init (i1 - i0) (fun j ->
+        let n = Irfunc.node st.src (i0 + j) in
+        let d = st.dtg.(n.Irfunc.id) in
+        (match n.Irfunc.op with
+        | Op.S_mul ->
+          depth := max !depth (1 + d);
+          Array.iter (fun a -> use a ~want:(1 + d)) n.Irfunc.args
+        | Op.S_rotate _ ->
+          depth := max !depth d;
+          use n.Irfunc.args.(0) ~want:d
+        | _ -> Array.iter (fun a -> use a ~want:0) n.Irfunc.args);
+        let op =
+          match n.Irfunc.op with
+          | Op.Weight _ -> Op.Weight ""
+          | Op.Const_scalar _ -> Op.Const_scalar 0.0
+          | op -> op
+        in
+        (op, n.Irfunc.ty, d, Array.map code n.Irfunc.args))
+  in
+  (* The rule without a height keeps an operand that arrives with
+     levels and refreshes an exhausted one to the want of its first
+     use; the tallest height brings each to [min top entry_want]. When
+     the operator fits the chain, neither refreshes inside it. *)
+  let top = min st.chain !depth in
+  let old_is_top =
+    !depth <= st.chain
+    && Hashtbl.fold
+      (fun a (level, want) same ->
+        same
+        &&
+        match Hashtbl.find_opt st.entry_want a with
+        | None -> true
+        | Some deepest ->
+          want > 0
+          && if level < min want 2 then want = deepest else level = max 1 (min top deepest))
+      first true
+  in
+  (!depth, !entry_level, old_is_top, (nodes, List.rev !entries))
+
+(* Choose the operator's height among every height it can use
+   ([1 or 2 .. min chain depth]; taller ones lower identically) and the rule
+   without a height, each lowered and priced in predicted ns. The
+   cheapest wins: the lowest height on ties, the old rule only when
+   strictly cheaper. Operators of one shape arriving in one state share
+   one search. Heights are tried tallest first, and the last one tried
+   stays lowered when it wins; returns whether the operator is lowered. *)
+let choose st memo decisions i0 i1 =
+  let depth, entry_level, old_is_top, key = scan st i0 i1 in
+  let origin = (Irfunc.node st.src i0).Irfunc.origin in
+  let record choice ns old_ns =
+    let height = match choice with Old -> st.chain | Height h -> h in
+    decisions := { origin; entry_level; height; ns; old_ns } :: !decisions;
+    st.choice <- choice
+  in
+  if depth = 0 then begin
+    st.choice <- Old;
+    false
+  end
+  else
+    match Hashtbl.find_opt memo key with
+    | Some (choice, ns, old_ns) ->
+      record choice ns old_ns;
+      false
+    | None ->
+      let top = min st.chain depth and lowest = min depth 2 in
+      let old_ns, _ = try_lower st Old i0 i1 ~keep:(fun _ -> false) in
+      let best = ref (Old, old_ns) and lowered = ref false in
+      for h = top downto lowest do
+        let ns, kept =
+          if h = top && old_is_top then (old_ns, false)
+          else try_lower st (Height h) i0 i1 ~keep:(fun ns -> h = lowest && ns <= snd !best)
+        in
+        if ns <= snd !best then best := (Height h, ns);
+        lowered := kept
+      done;
+      let choice, ns = !best in
+      Hashtbl.add memo key (choice, ns, old_ns);
+      record choice ns old_ns;
+      !lowered
+
 let lower cfg src =
   if Irfunc.level src <> Level.Sihe then invalid_arg "Lower_sihe.lower: not a SIHE function";
   let params =
@@ -218,6 +478,11 @@ let lower cfg src =
   List.iter
     (fun c -> Irfunc.add_const dst c ~dims:(Irfunc.const_dims src c) (Irfunc.const src c))
     (Irfunc.const_names src);
+  let chain = Context.max_level cfg.context in
+  (* A function whose whole depth fits the chain needs no refresh: its
+     operators run at the levels the encryption gives them. Otherwise
+     each operator's height is priced. *)
+  let priced = cfg.min_level_bootstrap && total_depth src > chain in
   let st =
     {
       cfg;
@@ -225,60 +490,36 @@ let lower cfg src =
       dst;
       dtg = depth_to_go src;
       map = Array.make (Irfunc.num_nodes src) (-1);
-      scale = Hashtbl.create 256;
-      level = Hashtbl.create 256;
       encode_cache = Hashtbl.create 256;
       delta = Context.scale cfg.context;
+      chain;
+      priced;
+      choice = Old;
+      seg_start = 0;
+      entry_want = Hashtbl.create 8;
+      overrides = [];
+      journal = None;
+      new_encodes = [];
     }
   in
-  let chain = Context.max_level cfg.context in
-  Irfunc.iter src (fun n ->
-      let origin_start = Irfunc.num_nodes dst in
-      let propagate () =
-        for i = origin_start to Irfunc.num_nodes dst - 1 do
-          let m = Irfunc.node dst i in
-          if m.Irfunc.origin = "" then m.Irfunc.origin <- n.Irfunc.origin
-        done
-      in
-      Fun.protect ~finally:propagate @@ fun () ->
-      let out =
-        match n.Irfunc.op with
-        | Op.Param i ->
-          let id = Irfunc.param dst i in
-          annotate st id ~scale:st.delta ~level:chain;
-          id
-        | Op.Weight _ | Op.Const_scalar _ -> Irfunc.add dst n.Irfunc.op [||] n.Irfunc.ty
-        | Op.S_encode -> -2 (* encoded lazily at each use site *)
-        | Op.S_decode -> fail "SIHE.decode belongs to the generated decryptor, not the model"
-        | Op.S_add -> lower_add_sub st n Op.C_add
-        | Op.S_sub -> lower_add_sub st n Op.C_sub
-        | Op.S_mul -> lower_mul st n
-        | Op.S_neg ->
-          let a = st.map.(n.Irfunc.args.(0)) in
-          emit st Op.C_neg [| a |] ~scale:(scale_of st a) ~level:(level_of st a)
-        | Op.S_rotate k ->
-          (* A rotation consumes no level, but if the (shared) source is
-             already exhausted and more multiplications follow, bootstrap
-             here — once, before the fan-out — instead of once per rotated
-             copy (the paper's placement before the consuming operator). *)
-          let a_src = n.Irfunc.args.(0) in
-          let a =
-            if st.dtg.(n.Irfunc.id) > 0 then
-              update st a_src
-                (ensure_capacity st (reduce st st.map.(a_src)) ~want:(st.dtg.(n.Irfunc.id)))
-            else st.map.(a_src)
-          in
-          emit st (Op.C_rotate k) [| a |] ~scale:(scale_of st a) ~level:(level_of st a)
-        | Op.V_add | Op.V_sub | Op.V_mul | Op.V_roll _ | Op.V_broadcast _ | Op.V_pad _
-        | Op.V_reshape _ | Op.V_slice _ | Op.V_tile _ ->
-          Irfunc.add dst n.Irfunc.op (Array.map (fun a -> st.map.(a)) n.Irfunc.args) n.Irfunc.ty
-        | op -> fail "unexpected %s in SIHE function" (Op.name op)
-      in
-      st.map.(n.Irfunc.id) <- out);
+  let memo = Hashtbl.create 16 and decisions = ref [] in
+  let n = Irfunc.num_nodes src in
+  let i0 = ref 0 in
+  while !i0 < n do
+    let origin = (Irfunc.node src !i0).Irfunc.origin in
+    let i1 = ref (!i0 + 1) in
+    while !i1 < n && (Irfunc.node src !i1).Irfunc.origin = origin do
+      incr i1
+    done;
+    st.seg_start <- !i0;
+    let lowered = priced && choose st memo decisions !i0 !i1 in
+    if not lowered then lower_segment st !i0 !i1;
+    i0 := !i1
+  done;
   let rets = List.map (fun r -> reduce st st.map.(r)) (Irfunc.returns src) in
   Irfunc.set_returns dst rets;
   Verify.verify dst;
-  dst
+  (dst, List.rev !decisions)
 
 let rotation_amounts f =
   let seen = Hashtbl.create 64 in

@@ -22,7 +22,9 @@ val node_ns : ring_degree:int -> cached_encodes:bool -> Ace_ir.Irfunc.node -> fl
     the RNS kernel rows the op runs (NTTs, digit lifts, mul-acc,
     pointwise, add, automorphism rows), each a per-row overhead plus
     [ring_degree] times the kernel's cost per coefficient (an NTT's per
-    butterfly stage, so it grows with log2 of the degree). The constants
+    butterfly stage, so it grows with log2 of the degree). The model lives
+    in [Ace_ckks_ir.Node_price], where the lowering prices tower heights
+    with it; these are the same functions. The constants
     are static, measured once; see the source for how. With
     [cached_encodes] an encode costs only the fixed overhead (the VM's
     plaintext cache serves it). Pure function of its arguments. The

@@ -82,6 +82,7 @@ type compiled = {
   output_layouts : Layout.t list;
   key_plan : Keygen_plan.plan;
   lazy_stats : Ckks_lazy.stats;
+  placement : Lower_sihe.decision list;
   level_seconds : (Level.t * float) list;
   other_seconds : float;
 }
@@ -205,9 +206,9 @@ let compile ?context ?batch ?complex strategy nn_input =
   in
   verify_stage ~pass:"sihe" sihe;
   (* CKKS level. *)
-  let (ckks, lazy_stats), t_ckks =
+  let (ckks, lazy_stats, placement), t_ckks =
     timed "ckks" (fun () ->
-        let f =
+        let f, placement =
           Lower_sihe.lower
             {
               Lower_sihe.context;
@@ -235,7 +236,7 @@ let compile ?context ?batch ?complex strategy nn_input =
           end
           else (f, None)
         in
-        ((f, cplx_info), lazy_stats))
+        ((f, cplx_info), lazy_stats, placement))
   in
   let ckks, cplx_info = ckks in
   (* No keygen plan yet: the plan is derived from this function below, so
@@ -278,6 +279,7 @@ let compile ?context ?batch ?complex strategy nn_input =
     output_layouts = out_layouts;
     key_plan;
     lazy_stats;
+    placement;
     level_seconds =
       [
         (Level.Nn, t_nn);
@@ -332,6 +334,7 @@ let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts 
     output_layouts;
     key_plan;
     lazy_stats;
+    placement = [];
     level_seconds = [];
     other_seconds = 0.0;
   }

@@ -70,6 +70,11 @@ type compiled = {
   lazy_stats : Ace_ckks_ir.Ckks_lazy.stats;
       (** eager-vs-lazy relin/rescale counts of the CKKS function (equal
           when the lazy passes were disabled) *)
+  placement : Ace_ckks_ir.Lower_sihe.decision list;
+      (** the tower height chosen for each operator, with its predicted
+          ns and the ns of the rule without a height; empty when nothing
+          was priced (no refresh needed, the expert strategy) and on a
+          {!restore}d value *)
   level_seconds : (Ace_ir.Level.t * float) list;
       (** Figure 5 rows; the [Poly] row reads 0.0 because POLY lowering
           is part of {!emit_c}, not of [compile] *)

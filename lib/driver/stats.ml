@@ -24,6 +24,7 @@ type t = {
   cplx_regions : int;
   cplx_packed_ops : int;
   cplx_split_ops : int;
+  placement : Ace_ckks_ir.Lower_sihe.decision list;
 }
 
 let count_op f pred = Irfunc.fold f ~init:0 ~f:(fun acc n -> if pred n.Irfunc.op then acc + 1 else acc)
@@ -112,6 +113,7 @@ let of_compiled (c : Pipeline.compiled) =
       (match c.Pipeline.cplx with
       | None -> 0
       | Some i -> i.Ace_ckks_ir.Ckks_cplx.stats.Ace_ckks_ir.Ckks_cplx.split_nodes);
+    placement = c.Pipeline.placement;
   }
 
 let to_json s =
@@ -236,4 +238,9 @@ let pp fmt s =
     "  batch=%d (requests/ct %d), slot utilization=%.1f%%, cplx regions=%d (packed %d / split %d)@,"
     s.batch s.requests_per_ct (100.0 *. s.slot_utilization) s.cplx_regions s.cplx_packed_ops
     s.cplx_split_ops;
+  List.iter
+    (fun (d : Ace_ckks_ir.Lower_sihe.decision) ->
+      Format.fprintf fmt "  placement %-22s entry L%-2d height %-2d %9.3f ms (old rule %9.3f ms)@,"
+        d.origin d.entry_level d.height (d.ns /. 1e6) (d.old_ns /. 1e6))
+    s.placement;
   Format.fprintf fmt "  runtime domains=%d@,@]" s.runtime_domains

@@ -30,6 +30,8 @@ type t = {
   cplx_regions : int;  (** complex-packed regions (0 when [ACE_CPLX] off) *)
   cplx_packed_ops : int;  (** cipher ops executed once on packed streams *)
   cplx_split_ops : int;  (** cipher ops duplicated per stream *)
+  placement : Ace_ckks_ir.Lower_sihe.decision list;
+      (** the tower height priced for each operator ({!Pipeline.compiled}) *)
 }
 
 val of_compiled : Pipeline.compiled -> t

@@ -72,6 +72,12 @@ let node t i =
 
 let num_nodes t = t.count
 
+let truncate t n =
+  if n < Array.length t.fn_params || n > t.count then invalid_arg "Irfunc.truncate";
+  if List.exists (fun r -> r >= n) t.rets then invalid_arg "Irfunc.truncate: drops a return";
+  Array.fill t.nodes n (t.count - n) dummy_node;
+  t.count <- n
+
 let iter t f =
   for i = 0 to t.count - 1 do
     f t.nodes.(i)

@@ -34,6 +34,12 @@ val param : t -> int -> int
 
 val node : t -> int -> node
 val num_nodes : t -> int
+
+val truncate : t -> int -> unit
+(** [truncate t n] drops every node with id [>= n], so the next {!add}
+    returns [n] again: a speculative lowering appends a candidate, prices
+    it and takes it back. Parameters and returns cannot be dropped. *)
+
 val iter : t -> (node -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 

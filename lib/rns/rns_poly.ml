@@ -148,21 +148,6 @@ let coeff_inplace t =
 
 let in_domain d t = match d with Coeff -> to_coeff t | Eval -> to_ntt t
 
-let map2 f a b =
-  check_compatible a b;
-  let n = ring_degree a in
-  let data = Limb_pool.acquire_slab ~n ~limbs:(num_limbs a) in
-  Domain_pool.parallel_for ~min_chunk:light_limb_grain (num_limbs a) (fun k ->
-      let q = Crt.modulus a.ctx a.chain_idx.(k) in
-      let xa = a.data.(k) and xb = b.data.(k) and d = data.(k) in
-      for i = 0 to n - 1 do
-        Array.unsafe_set d i (f (Array.unsafe_get xa i) (Array.unsafe_get xb i) q)
-      done);
-  { a with data; pooled = true }
-
-let add a b = map2 (fun x y q -> Modarith.add x y ~modulus:q) a b
-let sub a b = map2 (fun x y q -> Modarith.sub x y ~modulus:q) a b
-
 (* Allocation-free binary variants: write limb rows of [dst] in place.
    [dst] must have the same shape as the operands and may alias either
    one; rows are overwritten index by index, never resized. *)
@@ -190,6 +175,17 @@ let sub_into ~dst a b =
         Array.unsafe_set d i (if s < 0 then s + q else s)
       done);
   dst
+
+let fresh_like a =
+  { a with data = Limb_pool.acquire_slab ~n:(ring_degree a) ~limbs:(num_limbs a); pooled = true }
+
+let add a b =
+  check_compatible a b;
+  add_into ~dst:(fresh_like a) a b
+
+let sub a b =
+  check_compatible a b;
+  sub_into ~dst:(fresh_like a) a b
 
 let neg a =
   let n = ring_degree a in

@@ -147,8 +147,9 @@ let try_load_artifact cfg spec_str hash =
   | Some path when not (Sys.file_exists path) -> None
   | Some path -> (
     match Wire.decode_artifact (read_file path) with
-    | Error msg ->
-      Printf.eprintf "[ace-serve] discarding bad artifact %s: %s\n%!" path msg;
+    | Error e ->
+      Printf.eprintf "[ace-serve] discarding artifact %s: %s\n%!" path
+        (Wire.artifact_error_to_string e);
       None
     | Ok art -> (
       if art.Wire.art_hash <> hash || art.art_spec <> spec_str then None

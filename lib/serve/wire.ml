@@ -564,7 +564,9 @@ type artifact = {
 }
 
 let artifact_magic = "ACEA"
-let artifact_version = 1
+(* 2: per-operator tower heights change the CKKS function of models that
+   bootstrap, so artifacts written by an earlier compiler are refused. *)
+let artifact_version = 2
 
 let artifact_hash ~spec ~strategy ~batch ~complex =
   let key =
@@ -619,15 +621,23 @@ let write_artifact w a =
 
 let encode_artifact a = B.encode (fun w -> write_artifact w a)
 
+type artifact_error = Stale_version of int | Corrupt of string
+
+let artifact_error_to_string = function
+  | Stale_version v -> Printf.sprintf "artifact version %d, want %d" v artifact_version
+  | Corrupt m -> m
+
+exception Stale of int
+
 let decode_artifact s =
-  B.decode
+  match
+    B.decode
     (fun r ->
       let magic = B.r_bytes r 4 in
       if magic <> artifact_magic then
         raise (B.Error (Printf.sprintf "bad artifact magic %S" magic));
       let v = B.r_u16 r in
-      if v <> artifact_version then
-        raise (B.Error (Printf.sprintf "artifact version %d, want %d" v artifact_version));
+      if v <> artifact_version then raise (Stale v);
       let art_spec = B.r_string r in
       let art_hash = B.r_string r in
       let art_strategy = read_strategy r in
@@ -653,3 +663,7 @@ let decode_artifact s =
         art_lazy;
       })
     s
+  with
+  | Ok a -> Ok a
+  | Error m -> Error (Corrupt m)
+  | exception Stale v -> Error (Stale_version v)

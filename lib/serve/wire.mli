@@ -179,4 +179,11 @@ val encode_artifact : artifact -> string
 val write_artifact : Ace_util.Bytesio.writer -> artifact -> unit
 (** The bytes of {!encode_artifact}, written to any writer. *)
 
-val decode_artifact : string -> (artifact, string) result
+type artifact_error =
+  | Stale_version of int
+      (** written by another compiler version: recompile, do not serve *)
+  | Corrupt of string
+
+val artifact_error_to_string : artifact_error -> string
+
+val decode_artifact : string -> (artifact, artifact_error) result

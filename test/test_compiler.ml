@@ -307,6 +307,64 @@ let test_min_level_bootstrap_targets () =
   if avg ta >= avg te then
     Alcotest.failf "ACE average target %.1f not below expert %.1f" (avg ta) (avg te)
 
+(* Priced placement: one decision per priced operator, never dearer than
+   the rule without a height; every refresh inside the chain; an operand
+   arriving taller than its operator's height is mod-switched down and no
+   relinearisation of that operator runs above the height. *)
+let check_placement name (c : Pipeline.compiled) =
+  let chain = Ace_fhe.Context.max_level c.Pipeline.context in
+  let ckks = c.Pipeline.ckks in
+  if c.Pipeline.placement = [] then Alcotest.failf "%s: no operator was priced" name;
+  List.iter
+    (fun (d : Lower_sihe.decision) ->
+      if d.ns > d.old_ns then
+        Alcotest.failf "%s %s: chosen %.0f ns above the old rule's %.0f ns" name d.origin d.ns
+          d.old_ns;
+      if d.entry_level > d.height then begin
+        let mine op = Irfunc.fold ckks ~init:[] ~f:(fun acc n ->
+            if n.Irfunc.origin = d.origin && op n.Irfunc.op then n :: acc else acc)
+        in
+        if mine (function Op.C_mod_switch -> true | _ -> false) = [] then
+          Alcotest.failf "%s %s: arrives at L%d above height %d without a mod-switch" name
+            d.origin d.entry_level d.height;
+        List.iter
+          (fun (n : Irfunc.node) ->
+            if n.Irfunc.node_level > d.height then
+              Alcotest.failf "%s %s: relin at L%d above height %d" name d.origin
+                n.Irfunc.node_level d.height)
+          (mine (function Op.C_relin -> true | _ -> false))
+      end)
+    c.Pipeline.placement;
+  Irfunc.iter ckks (fun n ->
+      match n.Irfunc.op with
+      | Op.C_bootstrap t when t < 1 || t > chain ->
+        Alcotest.failf "%s: bootstrap target %d outside [1, %d]" name t chain
+      | _ -> ())
+
+let test_priced_placement () =
+  let spec s =
+    match Ace_serve.Model_spec.parse s with Ok m -> Ace_serve.Model_spec.nn m | Error e -> failwith e
+  in
+  List.iter
+    (fun name -> check_placement name (Pipeline.compile ~batch:1 Pipeline.ace (spec name)))
+    [ "resnet:8:10:8:4"; "resnet20" ]
+
+(* Functions that never refresh, and everything the expert strategy
+   compiles, lower exactly as before priced placement: the digests are
+   those of the CKKS functions the full-tower rule produced. *)
+let test_unpriced_functions_unchanged () =
+  let digest strategy s =
+    match Ace_serve.Model_spec.parse s with
+    | Error e -> failwith e
+    | Ok m ->
+      let c = Pipeline.compile ~batch:1 strategy (Ace_serve.Model_spec.nn m) in
+      Digest.to_hex (Digest.string (Ace_ckks_ir.Ir_wire.encode_func c.Pipeline.ckks))
+  in
+  Alcotest.(check string) "gemv:16:4 (ACE)" "5bba1e3c14e09452a7fae577addd84fa"
+    (digest Pipeline.ace "gemv:16:4");
+  Alcotest.(check string) "resnet:8:10:8:4 (Expert)" "2b9dfbf1f4700d6a7f6e690ae74e9197"
+    (digest Pipeline.expert "resnet:8:10:8:4")
+
 (* --- mini ResNet end to end (slow) --- *)
 
 let test_encrypted_resnet_mini () =
@@ -442,6 +500,9 @@ let () =
           Alcotest.test_case "ACE fewer rescales" `Quick test_ace_fewer_rescales_than_expert;
           Alcotest.test_case "key plans differ" `Quick test_key_plan_sizes;
           Alcotest.test_case "min-level bootstrap targets" `Quick test_min_level_bootstrap_targets;
+          Alcotest.test_case "priced placement" `Quick test_priced_placement;
+          Alcotest.test_case "unpriced functions unchanged" `Quick
+            test_unpriced_functions_unchanged;
         ] );
       ( "end-to-end",
         [

@@ -232,6 +232,42 @@ let test_poly_add_sub_neg () =
   Alcotest.(check bool) "a+b-b=a" true (equal a (sub (add a b) b));
   Alcotest.(check bool) "a+(-a)=0" true (equal (create ctx ~chain_idx:idx Eval) (add a (neg a)))
 
+(* [add]/[sub] against [Modarith] coefficient by coefficient, at every
+   prime of two runtime contexts (the chains the compiler executes on). *)
+let runtime_crts =
+  lazy
+    (List.map
+       (fun slots ->
+         Ace_fhe.Context.crt (Ace_ckks_ir.Param_select.execution_context ~slots ()))
+       [ 16; 1024 ])
+
+let prop_add_sub_match_modarith =
+  QCheck.Test.make ~name:"Rns_poly.add/sub = Modarith.add/sub at every runtime prime" ~count:10
+    QCheck.small_nat (fun seed ->
+      List.for_all
+        (fun ctx ->
+          let idx = Rns_poly.prefix_idx ~limbs:(Crt.num_moduli ctx) in
+          let r = Rng.create (seed + 1) in
+          let a = Rns_poly.sample_uniform ctx ~chain_idx:idx r in
+          let b = Rns_poly.sample_uniform ctx ~chain_idx:idx r in
+          let sum = (Rns_poly.add a b :> Rns_poly.t).data
+          and diff = (Rns_poly.sub a b :> Rns_poly.t).data in
+          let a = (a :> Rns_poly.t).data and b = (b :> Rns_poly.t).data in
+          let ok = ref true in
+          Array.iteri
+            (fun k row ->
+              let modulus = Crt.modulus ctx idx.(k) in
+              Array.iteri
+                (fun i x ->
+                  if
+                    sum.(k).(i) <> Modarith.add x b.(k).(i) ~modulus
+                    || diff.(k).(i) <> Modarith.sub x b.(k).(i) ~modulus
+                  then ok := false)
+                row)
+            a;
+          !ok)
+        (Lazy.force runtime_crts))
+
 let test_poly_mul_matches_schoolbook () =
   let ctx = small_ctx ~n:16 ~limbs:2 () in
   let idx = Rns_poly.prefix_idx ~limbs:2 in
@@ -449,6 +485,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_modarith_basic;
           QCheck_alcotest.to_alcotest prop_modinv;
+          QCheck_alcotest.to_alcotest prop_add_sub_match_modarith;
         ] );
       ( "primes",
         [

@@ -387,7 +387,7 @@ let test_artifact_roundtrip () =
   in
   let art = Wire.artifact_of_compiled ~spec ~hash c in
   match Wire.decode_artifact (Wire.encode_artifact art) with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Wire.artifact_error_to_string e)
   | Ok art' ->
     Alcotest.(check string) "spec" art.Wire.art_spec art'.Wire.art_spec;
     Alcotest.(check string) "hash" art.art_hash art'.art_hash;
@@ -408,7 +408,7 @@ let test_artifact_restores_bit_identical_inference () =
   in
   let art = Wire.artifact_of_compiled ~spec ~hash c in
   match Wire.decode_artifact (Wire.encode_artifact art) with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Wire.artifact_error_to_string e)
   | Ok art' ->
     let c' = Wire.compiled_of_artifact art' in
     let rng = Rng.create 21 in
@@ -426,6 +426,23 @@ let test_artifact_hash_sensitivity () =
   Alcotest.(check bool) "complex" true (h ~spec:"m" ~strategy:s ~batch:1 ~complex:true <> base);
   Alcotest.(check bool) "strategy" true
     (h ~spec:"m" ~strategy:Pipeline.expert ~batch:1 ~complex:false <> base)
+
+(* The compiler that places bootstraps is part of an artifact's identity:
+   the hash moved off the value an earlier compiler (artifact version 1)
+   computed for this key, and a version-1 artifact is refused. *)
+let test_artifact_version_gates_stale_compilers () =
+  let h = Wire.artifact_hash ~spec:"gemv:16:4" ~strategy:Pipeline.ace ~batch:1 ~complex:false in
+  Alcotest.(check bool) "hash differs from artifact version 1" true
+    (h <> "40e19ec311f6c5c0e467cb47302959ad");
+  let c = Lazy.force compiled_gemv in
+  let bytes = Bytes.of_string (Wire.encode_artifact (Wire.artifact_of_compiled ~spec:"m" ~hash:h c)) in
+  (* magic (4 bytes), then the version as u16 LE *)
+  Bytes.set bytes 4 '\001';
+  Bytes.set bytes 5 '\000';
+  match Wire.decode_artifact (Bytes.to_string bytes) with
+  | Ok _ -> Alcotest.fail "version-1 artifact accepted"
+  | Error (Wire.Stale_version 1) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Wire.artifact_error_to_string e)
 
 (* --- model specs --- *)
 
@@ -560,6 +577,8 @@ let () =
             test_artifact_restores_bit_identical_inference;
           Alcotest.test_case "hash covers spec/strategy/batch/complex" `Quick
             test_artifact_hash_sensitivity;
+          Alcotest.test_case "version gates stale compilers" `Quick
+            test_artifact_version_gates_stale_compilers;
         ] );
       ( "encode",
         [

@@ -160,7 +160,14 @@ ACE_VERIFY=1 ACE_CPLX=1 ACE_BATCH=2 dune exec examples/batch_infer.exe >/dev/nul
 # an ACE_VERIFY=0 run to keep the disable path working.
 echo "== verifier smoke, ACE_VERIFY=1 =="
 ACE_VERIFY=1 dune exec examples/quickstart.exe >/dev/null
-ACE_VERIFY=1 dune exec examples/resnet_infer.exe >/dev/null
+# The resnet example also gates the numerics of bootstrap placement: its
+# max logit deviation must stay within 0.05 (acebench's resnet_max_abs).
+rout=$(ACE_VERIFY=1 dune exec examples/resnet_infer.exe)
+rdev=$(echo "$rout" | sed -n 's/^max logit deviation: //p')
+if [ -z "$rdev" ] || ! awk -v d="$rdev" 'BEGIN { exit !(d <= 0.05) }'; then
+  echo "resnet_infer: max logit deviation '${rdev}' exceeds 0.05" >&2
+  exit 1
+fi
 ACE_VERIFY=0 dune exec examples/quickstart.exe >/dev/null
 
 # Serving smoke: the ace-serve daemon end to end over a Unix domain
