@@ -52,23 +52,21 @@ let total_depth src =
       d.(n.Irfunc.id) <- v;
       max acc v)
 
-(* How the current operator's operands find their levels. [Old] is the
-   rule without a height: an operand keeps whatever level it arrives
-   with and bootstraps, once exhausted, to [min chain want] (or to the
-   full chain without [min_level_bootstrap]). [Height h] first brings
-   every operand from another operator to [min h want] — down by a
-   mod-switch chain, up by a bootstrap — and bootstraps an exhausted
-   value to [min h want].
+(* How the current operator refreshes an exhausted operand. Either way
+   an operand keeps the level it arrives with; a height only lowers the
+   refresh targets inside the operator. [Old] is the rule without a
+   height, exactly as it was before heights were priced: a value is
+   usable down to level 1 and refreshes to [min chain want] (the full
+   chain without [min_level_bootstrap]). [Height h] refreshes to
+   [min h want].
 
    Under a height, a value with more multiplications ahead than the one
    it feeds counts as exhausted one level early, at level 1. Level 0
    keeps only the bottom prime, 3 bits above Delta: room for an
-   operator's output, not for the partial sums inside a polynomial,
-   whose coefficients reach tens (a product at level 1 sits on that same
-   bottom prime). So intermediates run on levels 1 .. h, and heights
-   start at 2 for an operator deeper than one multiplication. The same
-   floor holds for [Old] whenever heights are priced: an operator can
-   now arrive at level 1, which the full-tower rule never handed it. *)
+   operator's output, not for the terms and partial sums inside a
+   polynomial, whose coefficients reach tens (a product at level 1 sits
+   on that same bottom prime). So intermediates run on levels 1 .. h, and
+   heights start at 2 for an operator deeper than one multiplication. *)
 type choice = Old | Height of int
 
 type state = {
@@ -80,15 +78,7 @@ type state = {
   encode_cache : (int * int * int64, int) Hashtbl.t;
   delta : float;
   chain : int;
-  priced : bool; (* heights are chosen: intermediates stay off level 0 *)
   mutable choice : choice;
-  mutable seg_start : int; (* first src id of the current operator *)
-  entry_want : (int, int) Hashtbl.t;
-      (* operand from another operator -> the most depth any of its uses
-         in the current operator needs *)
-  mutable overrides : (int * int) list;
-      (* (src, dst id before) for operands mod-switched down for the
-         current operator only: the next operator sees them as they came *)
   mutable journal : (int * int) list option;
       (* while speculating: (src, dst id before) of every map write *)
   mutable new_encodes : (int * int * int64) list; (* while speculating *)
@@ -176,24 +166,13 @@ let update st src id = set_map st src id; id
    multiplicative levels under the current operator's choice. *)
 let ensure st a_src ~want =
   let id = update st a_src (reduce st st.map.(a_src)) in
-  let l = level_of st id in
-  match st.choice with
-  | Old ->
-    if l >= (if st.priced then min want 2 else 1) then id
-    else
-      let target = if st.cfg.min_level_bootstrap then max 1 (min st.chain want) else st.chain in
-      update st a_src (bootstrap st id ~target)
-  | Height h when a_src < st.seg_start ->
-    let target = max 1 (min h (Hashtbl.find st.entry_want a_src)) in
-    (* [target >= min want 2]: heights start at 2 for deeper operators *)
-    if l > target then begin
-      st.overrides <- (a_src, id) :: st.overrides;
-      update st a_src (mod_switch_to st id target)
-    end
-    else if l < target then update st a_src (bootstrap st id ~target)
-    else id
-  | Height h ->
-    if l >= min want 2 then id else update st a_src (bootstrap st id ~target:(max 1 (min h want)))
+  let usable, cap =
+    match st.choice with Old -> (1, st.chain) | Height h -> (min want 2, h)
+  in
+  if level_of st id >= usable then id
+  else
+    let target = if st.cfg.min_level_bootstrap then max 1 (min cap want) else st.chain in
+    update st a_src (bootstrap st id ~target)
 
 (* Plain operand: the SIHE graph routes it through S_encode(clear); fetch
    the clear node and encode at exactly the requested scale and level. *)
@@ -295,9 +274,8 @@ let lower_node st (n : Irfunc.node) =
   in
   st.map.(n.Irfunc.id) <- out
 
-(* Lower the operator [i0, i1) under the current choice. The new nodes
-   take the operator's provenance, and operands mod-switched down for it
-   are handed on as they came. *)
+(* Lower the operator [i0, i1) under the current choice; the new nodes
+   take the operator's provenance. *)
 let lower_segment st i0 i1 =
   let start = Irfunc.num_nodes st.dst in
   for i = i0 to i1 - 1 do
@@ -307,9 +285,7 @@ let lower_segment st i0 i1 =
   for i = start to Irfunc.num_nodes st.dst - 1 do
     let m = Irfunc.node st.dst i in
     if m.Irfunc.origin = "" then m.Irfunc.origin <- origin
-  done;
-  List.iter (fun (src, id) -> st.map.(src) <- id) st.overrides;
-  st.overrides <- []
+  done
 
 (* ---------- priced tower height per operator ---------- *)
 
@@ -342,25 +318,17 @@ let try_lower st choice i0 i1 ~keep =
   end;
   st.journal <- None;
   st.new_encodes <- [];
-  st.overrides <- [];
   (ns, kept)
 
-(* One scan of the operator [i0, i1). It fills [entry_want] (the deepest
-   need of each operand taken from another operator) and returns the
-   operator's depth, the highest level its operands arrive at, whether
-   the rule without a height lowers it exactly as the tallest height
-   does, and a key that fixes what lowering it emits: its structure
-   relative to [i0] (constant payloads elided: the price does not read
-   them) plus the (type, level, scale) of every operand it takes from
-   outside. *)
+(* One scan of the operator [i0, i1): its depth, the highest level its
+   operands arrive at, and a key that fixes what lowering it emits: its
+   structure relative to [i0] (constant payloads elided: the price does
+   not read them) plus the (type, level, scale) of every operand it takes
+   from outside. *)
 let scan st i0 i1 =
-  Hashtbl.reset st.entry_want;
   let depth = ref 0 and entry_level = ref 0 in
   let outside = Hashtbl.create 4 in
   let entries = ref [] in
-  (* operand from outside -> (level on arrival, want of its first use,
-     whether that first use ensures its capacity) *)
-  let first = Hashtbl.create 4 in
   let code a =
     if a >= i0 then a - i0
     else
@@ -379,27 +347,14 @@ let scan st i0 i1 =
          else entries := (ty, -1, 0L) :: !entries);
         k
   in
-  let use a ~want =
-    if a < i0 && not (is_plain_src st a) then begin
-      if not (Hashtbl.mem first a) then
-        Hashtbl.add first a (level_of st st.map.(a), want);
-      if want > 0 then
-        Hashtbl.replace st.entry_want a
-          (max want (Option.value ~default:0 (Hashtbl.find_opt st.entry_want a)))
-    end
-  in
   let nodes =
     Array.init (i1 - i0) (fun j ->
         let n = Irfunc.node st.src (i0 + j) in
         let d = st.dtg.(n.Irfunc.id) in
         (match n.Irfunc.op with
-        | Op.S_mul ->
-          depth := max !depth (1 + d);
-          Array.iter (fun a -> use a ~want:(1 + d)) n.Irfunc.args
-        | Op.S_rotate _ ->
-          depth := max !depth d;
-          use n.Irfunc.args.(0) ~want:d
-        | _ -> Array.iter (fun a -> use a ~want:0) n.Irfunc.args);
+        | Op.S_mul -> depth := max !depth (1 + d)
+        | Op.S_rotate _ -> depth := max !depth d
+        | _ -> ());
         let op =
           match n.Irfunc.op with
           | Op.Weight _ -> Op.Weight ""
@@ -408,25 +363,7 @@ let scan st i0 i1 =
         in
         (op, n.Irfunc.ty, d, Array.map code n.Irfunc.args))
   in
-  (* The rule without a height keeps an operand that arrives with
-     levels and refreshes an exhausted one to the want of its first
-     use; the tallest height brings each to [min top entry_want]. When
-     the operator fits the chain, neither refreshes inside it. *)
-  let top = min st.chain !depth in
-  let old_is_top =
-    !depth <= st.chain
-    && Hashtbl.fold
-      (fun a (level, want) same ->
-        same
-        &&
-        match Hashtbl.find_opt st.entry_want a with
-        | None -> true
-        | Some deepest ->
-          want > 0
-          && if level < min want 2 then want = deepest else level = max 1 (min top deepest))
-      first true
-  in
-  (!depth, !entry_level, old_is_top, (nodes, List.rev !entries))
+  (!depth, !entry_level, (nodes, List.rev !entries))
 
 (* Choose the operator's height among every height it can use
    ([1 or 2 .. min chain depth]; taller ones lower identically) and the rule
@@ -436,7 +373,7 @@ let scan st i0 i1 =
    one search. Heights are tried tallest first, and the last one tried
    stays lowered when it wins; returns whether the operator is lowered. *)
 let choose st memo decisions i0 i1 =
-  let depth, entry_level, old_is_top, key = scan st i0 i1 in
+  let depth, entry_level, key = scan st i0 i1 in
   let origin = (Irfunc.node st.src i0).Irfunc.origin in
   let record choice ns old_ns =
     let height = match choice with Old -> st.chain | Height h -> h in
@@ -458,8 +395,7 @@ let choose st memo decisions i0 i1 =
       let best = ref (Old, old_ns) and lowered = ref false in
       for h = top downto lowest do
         let ns, kept =
-          if h = top && old_is_top then (old_ns, false)
-          else try_lower st (Height h) i0 i1 ~keep:(fun ns -> h = lowest && ns <= snd !best)
+          try_lower st (Height h) i0 i1 ~keep:(fun ns -> h = lowest && ns <= snd !best)
         in
         if ns <= snd !best then best := (Height h, ns);
         lowered := kept
@@ -493,11 +429,7 @@ let lower cfg src =
       encode_cache = Hashtbl.create 256;
       delta = Context.scale cfg.context;
       chain;
-      priced;
       choice = Old;
-      seg_start = 0;
-      entry_want = Hashtbl.create 8;
-      overrides = [];
       journal = None;
       new_encodes = [];
     }
@@ -511,7 +443,6 @@ let lower cfg src =
     while !i1 < n && (Irfunc.node src !i1).Irfunc.origin = origin do
       incr i1
     done;
-    st.seg_start <- !i0;
     let lowered = priced && choose st memo decisions !i0 !i1 in
     if not lowered then lower_segment st !i0 !i1;
     i0 := !i1

@@ -17,19 +17,20 @@
       [CKKS.bootstrap] is inserted. Without [min_level_bootstrap] it
       refreshes to the full chain (the expert baseline). With it, each
       operator — one provenance segment: a convolution, one whole ReLU
-      polynomial — runs at the tower height the cost model
+      polynomial — refreshes at the tower height the cost model
       ({!Node_price}, cached encodes) prices cheapest: every height from
-      1 to the operator's depth, and the rule without a height (keep the
-      arriving level, refresh an exhausted value to the depth left in
-      the operator, capped at the chain), are lowered speculatively and
-      priced, and the cheapest is kept. At height [h], an operand from
-      another operator is brought to [min h want] — mod-switched down if
-      it arrives taller, bootstrapped if lower — and an exhausted value
-      refreshes to [min h want], [want] being the depth left in the
-      operator. Operators of one shape arriving at one (level, scale)
-      share one search. A function whose whole depth fits the chain
-      needs no refresh and has no heights to choose: its operators run at
-      the levels the encryption gives them. *)
+      1 (2 for operators deeper than one multiplication) to the
+      operator's depth, and the rule without a height (refresh an
+      exhausted value to the depth left in the operator, capped at the
+      chain), are lowered speculatively and priced, and the cheapest is
+      kept. At height [h] an exhausted value refreshes to [min h want],
+      [want] being the depth left in the operator, and a value with more
+      multiplications ahead counts as exhausted at level 1. Operands keep
+      the level they arrive with: a height lowers refresh targets, it
+      never mod-switches an operand down. Operators of one shape arriving
+      at one (level, scale) share one search. A function whose whole
+      depth fits the chain needs no refresh and has no heights to choose:
+      its operators run at the levels the encryption gives them. *)
 
 type config = {
   context : Ace_fhe.Context.t; (** fixes Delta, the prime chain and depth *)
@@ -45,7 +46,9 @@ type decision = {
   old_ns : float; (** predicted ns under the rule without a height *)
 }
 (** One priced operator. [ns <= old_ns] always: the rule without a height
-    is one of the candidates. *)
+    is one of the candidates. That rule lowers exactly as the lowering
+    did before heights were priced, so [old_ns] is what the operator
+    would cost there, given the level it arrives at. *)
 
 exception Lowering_error of string
 

@@ -308,9 +308,9 @@ let test_min_level_bootstrap_targets () =
     Alcotest.failf "ACE average target %.1f not below expert %.1f" (avg ta) (avg te)
 
 (* Priced placement: one decision per priced operator, never dearer than
-   the rule without a height; every refresh inside the chain; an operand
-   arriving taller than its operator's height is mod-switched down and no
-   relinearisation of that operator runs above the height. *)
+   the rule without a height; every refresh inside the chain and at most
+   its operator's height; an operand arriving taller than the height
+   keeps its levels (the operator runs from its arrival level down). *)
 let check_placement name (c : Pipeline.compiled) =
   let chain = Ace_fhe.Context.max_level c.Pipeline.context in
   let ckks = c.Pipeline.ckks in
@@ -320,20 +320,17 @@ let check_placement name (c : Pipeline.compiled) =
       if d.ns > d.old_ns then
         Alcotest.failf "%s %s: chosen %.0f ns above the old rule's %.0f ns" name d.origin d.ns
           d.old_ns;
-      if d.entry_level > d.height then begin
-        let mine op = Irfunc.fold ckks ~init:[] ~f:(fun acc n ->
-            if n.Irfunc.origin = d.origin && op n.Irfunc.op then n :: acc else acc)
-        in
-        if mine (function Op.C_mod_switch -> true | _ -> false) = [] then
-          Alcotest.failf "%s %s: arrives at L%d above height %d without a mod-switch" name
-            d.origin d.entry_level d.height;
-        List.iter
-          (fun (n : Irfunc.node) ->
-            if n.Irfunc.node_level > d.height then
-              Alcotest.failf "%s %s: relin at L%d above height %d" name d.origin
-                n.Irfunc.node_level d.height)
-          (mine (function Op.C_relin -> true | _ -> false))
-      end)
+      let top = ref 0 in
+      Irfunc.iter ckks (fun n ->
+          if n.Irfunc.origin = d.origin then
+            match n.Irfunc.op with
+            | Op.C_bootstrap t when t > d.height ->
+              Alcotest.failf "%s %s: refresh to L%d above height %d" name d.origin t d.height
+            | Op.C_bootstrap _ | Op.C_encode -> ()
+            | _ -> top := max !top n.Irfunc.node_level);
+      if d.entry_level > d.height && !top <> d.entry_level then
+        Alcotest.failf "%s %s: arrives at L%d above height %d but runs from L%d" name d.origin
+          d.entry_level d.height !top)
     c.Pipeline.placement;
   Irfunc.iter ckks (fun n ->
       match n.Irfunc.op with
@@ -341,13 +338,27 @@ let check_placement name (c : Pipeline.compiled) =
         Alcotest.failf "%s: bootstrap target %d outside [1, %d]" name t chain
       | _ -> ())
 
+let spec_nn s =
+  match Ace_serve.Model_spec.parse s with Ok m -> Ace_serve.Model_spec.nn m | Error e -> failwith e
+
 let test_priced_placement () =
-  let spec s =
-    match Ace_serve.Model_spec.parse s with Ok m -> Ace_serve.Model_spec.nn m | Error e -> failwith e
-  in
   List.iter
-    (fun name -> check_placement name (Pipeline.compile ~batch:1 Pipeline.ace (spec name)))
+    (fun name -> check_placement name (Pipeline.compile ~batch:1 Pipeline.ace (spec_nn name)))
     [ "resnet:8:10:8:4"; "resnet20" ]
+
+(* The rule without a height is the full-tower rule as it shipped before
+   heights were priced: the first two operators of resnet:8:10:8:4 arrive
+   exactly as they did then, and their old-rule prices are the prices of
+   the operators that rule emitted (same cost model, same nodes). *)
+let test_old_rule_prices () =
+  let c = Pipeline.compile ~batch:1 Pipeline.ace (spec_nn "resnet:8:10:8:4") in
+  let old_ns origin =
+    match List.find_opt (fun (d : Lower_sihe.decision) -> d.origin = origin) c.Pipeline.placement with
+    | Some d -> Printf.sprintf "%h" d.old_ns
+    | None -> Alcotest.failf "no decision for %s" origin
+  in
+  Alcotest.(check string) "conv:conv1" "0x1.0c8f625ffffffp+29" (old_ns "conv:conv1");
+  Alcotest.(check string) "relu:relu1" "0x1.2f3e3f0cccccdp+28" (old_ns "relu:relu1")
 
 (* Functions that never refresh, and everything the expert strategy
    compiles, lower exactly as before priced placement: the digests are
@@ -501,6 +512,7 @@ let () =
           Alcotest.test_case "key plans differ" `Quick test_key_plan_sizes;
           Alcotest.test_case "min-level bootstrap targets" `Quick test_min_level_bootstrap_targets;
           Alcotest.test_case "priced placement" `Quick test_priced_placement;
+          Alcotest.test_case "old rule priced as it shipped" `Quick test_old_rule_prices;
           Alcotest.test_case "unpriced functions unchanged" `Quick
             test_unpriced_functions_unchanged;
         ] );

@@ -9,17 +9,24 @@
    3. both pool widths produce bit-identical output ciphertexts (the
       pool width is a performance knob, never semantics).
 
-   The quick tier (5 seeds) runs on every `dune runtest` and in CI; the
-   remaining 20 seeds of the 25-graph suite run when ACE_DIFF_FULL=1 is
-   set, keeping the default suite fast without shrinking the property. *)
+   The quick tier (8 seeds) runs on every `dune runtest` and in CI; the
+   remaining 17 seeds of the 25-graph suite run when ACE_DIFF_FULL=1 is
+   set, keeping the default suite fast without shrinking the property.
+   Besides seeds 0-4 the quick tier holds three graphs that bootstrap
+   placement has broken before: seed 13, whose sign-polynomial partial
+   sums overflow the bottom prime when a product inside a polynomial
+   lands on level 0, and seeds 6 and 20, whose first ReLU sees inputs
+   outside the sign approximation's [-1, 1] (1.87 and 1.05): their SIHE
+   reference is NaN, so only the loose bound applies, and it holds only
+   while that ReLU runs from the level its input arrives at. *)
 
 module Differential = Ace_testkit.Differential
 module Graph_gen = Ace_testkit.Graph_gen
 module Pipeline = Ace_driver.Pipeline
 module Verifier = Ace_verify.Verifier
 
-let quick_seeds = [ 0; 1; 2; 3; 4 ]
-let full_seeds = List.init 20 (fun i -> 5 + i)
+let quick_seeds = [ 0; 1; 2; 3; 4; 6; 13; 20 ]
+let full_seeds = List.filter (fun s -> not (List.mem s quick_seeds)) (List.init 20 (fun i -> 5 + i))
 
 let full_tier_on () =
   match Sys.getenv_opt "ACE_DIFF_FULL" with
