@@ -55,10 +55,9 @@ let total_depth src =
 (* How the current operator refreshes an exhausted operand. Either way
    an operand keeps the level it arrives with; a height only lowers the
    refresh targets inside the operator. [Old] is the rule without a
-   height, exactly as it was before heights were priced: a value is
-   usable down to level 1 and refreshes to [min chain want] (the full
-   chain without [min_level_bootstrap]). [Height h] refreshes to
-   [min h want].
+   height: a value is usable down to level 1 and refreshes to
+   [min chain want] (the full chain without [min_level_bootstrap]).
+   [Height h] refreshes to [min h want].
 
    Under a height, a value with more multiplications ahead than the one
    it feeds counts as exhausted one level early, at level 1. Level 0

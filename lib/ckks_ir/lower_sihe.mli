@@ -46,9 +46,7 @@ type decision = {
   old_ns : float; (** predicted ns under the rule without a height *)
 }
 (** One priced operator. [ns <= old_ns] always: the rule without a height
-    is one of the candidates. That rule lowers exactly as the lowering
-    did before heights were priced, so [old_ns] is what the operator
-    would cost there, given the level it arrives at. *)
+    is one of the candidates. *)
 
 exception Lowering_error of string
 
