@@ -293,7 +293,7 @@ let price st from =
   let total = ref 0.0 in
   for i = from to Irfunc.num_nodes st.dst - 1 do
     total :=
-      !total +. Node_price.node_ns ~ring_degree ~cached_encodes:true (Irfunc.node st.dst i)
+      !total +. Node_price.node_ns ~ring_degree ~cached_encodes:true st.dst (Irfunc.node st.dst i)
   done;
   !total
 

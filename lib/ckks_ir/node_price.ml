@@ -15,9 +15,10 @@ open Ace_ir
    its busy time set against its kernel counts. Inside an execution the
    kernels run 1.2x (NTT, lift, mul-acc: the key digits no longer fit in
    cache) to 3x (plaintext products, which read cold cached plaintexts)
-   slower than alone, so the constants below are the in-execution ones;
-   the bootstrap oracle (decrypt, decode, encode, encrypt) is priced
-   whole, per limb of its target level. *)
+   slower than alone, so the constants below are the in-execution ones.
+   The bootstrap oracle is priced by its rows like every other node: it
+   decrypts at its operand's level, lifts and re-encrypts at its target
+   level (Bootstrap.refresh). *)
 type kernel =
   | Ntt_fwd
   | Ntt_inv
@@ -31,7 +32,9 @@ type kernel =
   | Copy
   | Fill
   | Encode  (** slot embedding and rounding (the NTTs are counted apart) *)
-  | Bootstrap  (** the bootstrap oracle, per limb *)
+  | Garner  (** one limb's step of a mixed-radix centered lift *)
+  | Noise  (** a fresh Gaussian draw, rounded *)
+  | Uniform  (** a uniform residue draw *)
 
 let row_ns = 100.0
 let node_fixed_ns = 1000.0
@@ -49,10 +52,13 @@ let coef_ns ~lg = function
   | Copy -> 2.5
   | Fill -> 1.0
   | Encode -> 40.0
-  | Bootstrap -> 500.0
+  | Garner -> 12.0
+  | Noise -> 80.0
+  | Uniform -> 6.0
 
-(* [work c n]: the kernel rows of node [n], each weighted by [c]. *)
-let work ~cached_encodes c (n : Irfunc.node) =
+(* [work c n]: the kernel rows of node [n], each weighted by [c].
+   [in_limbs] is the limb count of the node's first operand. *)
+let work ~cached_encodes ~in_limbs c (n : Irfunc.node) =
   let l = float_of_int (max 1 (n.Irfunc.node_level + 1)) in
   let comps = if Types.equal n.Irfunc.ty Types.Cipher3 then 3.0 else 2.0 in
   (* divide an extended-basis accumulator by the special prime *)
@@ -84,18 +90,31 @@ let work ~cached_encodes c (n : Irfunc.node) =
   | Op.C_upscale _ -> encode () +. (comps *. l *. c Pmul)
   | Op.C_add | Op.C_sub | Op.C_neg -> comps *. l *. c Add
   | Op.C_mod_switch | Op.C_downscale _ -> comps *. l *. c Copy
-  | Op.C_bootstrap _ -> (l +. 1.0) *. c Bootstrap
+  | Op.C_bootstrap _ ->
+    (* decrypt into coefficients at the operand's level and lift each
+       coefficient; draw its error; per target limb reduce, NTT, draw the
+       uniform row and subtract its product with the secret's row *)
+    (in_limbs *. (c Copy +. c Pmul +. c Add +. c Ntt_inv +. c Garner))
+    +. c Noise
+    +. (l *. (c Lift +. c Ntt_fwd +. c Uniform +. c Copy +. c Pmul +. c Add))
   | _ -> 0.0 (* parameters, constants, views, cleartext vector ops *)
 
 let log2_degree ring_degree =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   float_of_int (go 0 ring_degree)
 
-let node_ns ~ring_degree ~cached_encodes n =
+let in_limbs f (n : Irfunc.node) =
+  if Array.length n.Irfunc.args = 0 then 1.0
+  else float_of_int (max 1 ((Irfunc.node f n.Irfunc.args.(0)).Irfunc.node_level + 1))
+
+let node_ns ~ring_degree ~cached_encodes f n =
   let lg = log2_degree ring_degree and coefs = float_of_int ring_degree in
-  node_fixed_ns +. work ~cached_encodes (fun k -> row_ns +. (coefs *. coef_ns ~lg k)) n
+  node_fixed_ns
+  +. work ~cached_encodes ~in_limbs:(in_limbs f n)
+       (fun k -> row_ns +. (coefs *. coef_ns ~lg k))
+       n
 
 let func_ns ~ring_degree ~cached_encodes f =
-  Irfunc.fold f ~init:0.0 ~f:(fun acc n -> acc +. node_ns ~ring_degree ~cached_encodes n)
+  Irfunc.fold f ~init:0.0 ~f:(fun acc n -> acc +. node_ns ~ring_degree ~cached_encodes f n)
 
-let node_cost n = work ~cached_encodes:false (coef_ns ~lg:11.0) n
+let node_cost n = work ~cached_encodes:false ~in_limbs:1.0 (coef_ns ~lg:11.0) n

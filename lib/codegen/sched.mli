@@ -16,9 +16,10 @@
 type t
 (** The per-node release plan of one function. *)
 
-val node_ns : ring_degree:int -> cached_encodes:bool -> Ace_ir.Irfunc.node -> float
-(** The cost model: predicted nanoseconds of one node on one domain, in a
-    context of ring degree [ring_degree]. A fixed per-node overhead plus
+val node_ns :
+  ring_degree:int -> cached_encodes:bool -> Ace_ir.Irfunc.t -> Ace_ir.Irfunc.node -> float
+(** The cost model: predicted nanoseconds of one node of the function on
+    one domain, in a context of ring degree [ring_degree]. A fixed per-node overhead plus
     the RNS kernel rows the op runs (NTTs, digit lifts, mul-acc,
     pointwise, add, automorphism rows), each a per-row overhead plus
     [ring_degree] times the kernel's cost per coefficient (an NTT's per
@@ -40,7 +41,8 @@ val func_ns : ring_degree:int -> cached_encodes:bool -> Ace_ir.Irfunc.t -> float
 val node_cost : Ace_ir.Irfunc.node -> float
 (** The node's kernel work in ns per coefficient at ring degree 2^11,
     without overheads or encode caching: the part of {!node_ns} that
-    scales with the ring. A degree-free summary of a node for reports. *)
+    scales with the ring (a bootstrap's from a level-0 operand). A
+    degree-free summary of a node for reports. *)
 
 val node_category : Ace_ir.Irfunc.node -> string
 (** Calibration bucket of a node's op: ["key_switch"] (relin / rotate /

@@ -74,7 +74,7 @@ let seq_plan t =
     let ring_degree = Context.ring_degree t.keys.Fhe.Keys.context in
     let cached_encodes = t.pt_cache <> None in
     let node_ns =
-      Array.init num_nodes (fun i -> Sched.node_ns ~ring_degree ~cached_encodes (Irfunc.node f i))
+      Array.init num_nodes (fun i -> Sched.node_ns ~ring_degree ~cached_encodes f (Irfunc.node f i))
     in
     let cost_before = Array.make (num_nodes + 1) 0.0 in
     for i = 0 to num_nodes - 1 do

@@ -1,12 +1,19 @@
 (** Bootstrapping strategies.
 
     [refresh] is the client-assisted recryption oracle used by the large
-    benchmarks (DESIGN.md substitution): decrypt, re-encode, re-encrypt at
-    the requested level. Its cost is genuinely proportional to the target
-    level — a fresh encryption touches one RNS limb per level — so the
-    compiler optimization under evaluation (bootstrapping to the minimal
-    level, Figure 6) exercises the same cost gradient as a cryptographic
-    bootstrap.
+    benchmarks (DESIGN.md substitution): the party holding the secret key
+    decrypts, lifts each coefficient to its centered integer, rescales it
+    to Delta and re-encrypts the polynomial under the secret key at the
+    requested level, never leaving the coefficient domain. That equals
+    decoding to slots and encoding back (the canonical embedding is a
+    bijection, so the round trip is the identity on coefficients), and
+    the only fresh noise is one Gaussian error per coefficient plus the
+    rounding of the rescaled value, where a public-key encryption adds
+    u*e_pk + e0 + e1*s. Its cost is genuinely proportional to the target
+    level — one forward NTT, one uniform row and one product per target
+    limb — so the compiler optimization under evaluation (bootstrapping
+    to the minimal level, Figure 6) exercises the same cost gradient as a
+    cryptographic bootstrap.
 
     [exact] is the real CKKS pipeline (ModRaise -> CoeffToSlot -> EvalMod
     via polynomial sine approximation -> SlotToCoeff), runnable at toy
@@ -14,8 +21,10 @@
 
 val refresh :
   Keys.t -> rng:Ace_util.Rng.t -> target_level:int -> Ciphertext.ct -> Ciphertext.ct
-(** Requires the secret key (client side of the protocol). Output scale is
-    the context's nominal Delta. *)
+(** Requires the secret key (client side of the protocol). Accepts any
+    input scale; the output scale is the context's nominal Delta. The
+    output is (m + e - a*s, a) with [a] drawn uniformly straight into
+    the evaluation domain from [rng]. *)
 
 val refresh_impl :
   Keys.t -> seed:int -> ordinal:int -> target_level:int -> Ciphertext.ct -> Ciphertext.ct

@@ -1,5 +1,4 @@
 module Rns_poly = Ace_rns.Rns_poly
-module Bignum = Ace_util.Bignum
 module Crt = Ace_rns.Crt
 
 let encode_complex ctx ~level ~scale (v : Cplx.t array) =
@@ -31,21 +30,13 @@ let decode_complex ctx (pt : Ciphertext.pt) =
   let slots = Context.slots ctx in
   let limbs = Rns_poly.num_limbs poly in
   let crt = Context.crt ctx in
-  let coeff =
-    if limbs = 1 then begin
-      let q = Crt.modulus crt 0 in
-      fun i ->
-        float_of_int (Ace_rns.Modarith.centered poly.Rns_poly.data.(0).(i) ~modulus:q)
-    end
-    else begin
-      let modulus = Crt.product crt ~limbs in
-      fun i -> Bignum.centered_to_float (Rns_poly.coeff_bignum poly i) ~modulus
-    end
-  in
-  (* The per-slot CRT recombination (a bignum per coefficient at depth)
-     dominates decode; slot batches are independent, so it runs on the
-     domain pool. Tiny slot vectors (toy contexts, tests) stay inline —
-     below ~32 slots the pool wake-up rivals the recombination itself. *)
+  let rows = poly.Rns_poly.data in
+  let coeff i = Crt.centered_float crt ~limbs rows i in
+  (* Every coefficient of a correctly decrypting plaintext lifts in
+     native ints; the bignum path is left for the rest. Slot batches are
+     independent, so the lift runs on the domain pool. Tiny slot vectors
+     (toy contexts, tests) stay inline — below ~32 slots the pool
+     wake-up rivals the recombination itself. *)
   let vals =
     Ace_util.Domain_pool.init ~min_chunk:32 slots (fun i ->
         Cplx.make (coeff i /. pt.pt_scale) (coeff (i + slots) /. pt.pt_scale))

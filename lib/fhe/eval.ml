@@ -95,9 +95,9 @@ let encrypt_at_level keys ~rng ~level (pt : pt) =
   let u = Rns_poly.ntt_inplace (Rns_poly.sample_ternary crt ~chain_idx:idx rng) in
   let e0 = Rns_poly.ntt_inplace (Rns_poly.sample_gaussian crt ~chain_idx:idx ~sigma rng) in
   let e1 = Rns_poly.ntt_inplace (Rns_poly.sample_gaussian crt ~chain_idx:idx ~sigma rng) in
-  let ptc = Rns_poly.to_coeff pt.poly in
-  let m = Rns_poly.ntt_inplace (Rns_poly.restrict ptc ~chain_idx:idx) in
-  release_conv ~src:pt.poly ptc;
+  (* The NTT acts on each limb alone, so restricting the evaluation-domain
+     rows is the restriction of the coefficient form, transformed. *)
+  let m = Rns_poly.ntt_inplace (Rns_poly.restrict pt.poly ~chain_idx:idx) in
   (* [mul] returns fresh rows, so the additions can accumulate in place. *)
   let c0 = Rns_poly.mul pb u in
   let c0 = Rns_poly.add_into ~dst:c0 c0 e0 in

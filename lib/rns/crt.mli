@@ -40,3 +40,23 @@ val qhat_mod : t -> limbs:int -> target:int -> int array
 val crt_to_bignum : t -> limbs:int -> (int -> int) -> Ace_util.Bignum.t
 (** [crt_to_bignum t ~limbs residue] recombines [residue i] (a residue mod
     [q_i]) into the unique value modulo the partial product. *)
+
+val lift_centered : t -> limbs:int -> int array array -> int -> int
+(** [lift_centered t ~limbs rows i] is the centered representative, in
+    (-Q/2, Q/2) for Q the product of the first [limbs] moduli, of the
+    value whose residue modulo [q_k] is [rows.(k).(i)]: the same integer
+    as {!crt_to_bignum} lifted to the centered range, computed by
+    signed-digit mixed-radix recombination in native ints, O([limbs])
+    per coefficient. Every value of magnitude below 2^60 lifts; larger
+    ones may return {!too_big}, and callers then take the bignum path. Row [k] must hold canonical
+    residues modulo [moduli.(k)]. Pure and allocation-free, so safe
+    inside [Domain_pool] bodies. *)
+
+val too_big : int
+(** The sentinel of {!lift_centered} ([min_int], never a lifted value). *)
+
+val centered_float : t -> limbs:int -> int array array -> int -> float
+(** The centered value of {!lift_centered} as a float, through
+    {!crt_to_bignum} where it does not lift natively. Both paths round
+    the same integer once, so the result does not depend on which one
+    ran. *)

@@ -360,16 +360,19 @@ let automorphism ~galois t =
         done);
     { t with data; pooled = true }
 
+(* Uniform residues are uniform in either domain, so they are drawn
+   straight into the evaluation domain. *)
 let sample_uniform ctx ~chain_idx rng =
   let n = Crt.ring_degree ctx in
-  let data =
-    Array.map
-      (fun ci ->
-        let q = Crt.modulus ctx ci in
-        Array.init n (fun _ -> Rng.int rng q))
-      chain_idx
-  in
-  { ctx; chain_idx = Array.copy chain_idx; data; domain = Eval; pooled = false }
+  let data = Limb_pool.acquire_slab ~n ~limbs:(Array.length chain_idx) in
+  Array.iteri
+    (fun k ci ->
+      let q = Crt.modulus ctx ci and row = data.(k) in
+      for i = 0 to n - 1 do
+        Array.unsafe_set row i (Rng.int rng q)
+      done)
+    chain_idx;
+  { ctx; chain_idx = Array.copy chain_idx; data; domain = Eval; pooled = true }
 
 let of_small_sampler ctx ~chain_idx rng sample =
   let n = Crt.ring_degree ctx in

@@ -169,6 +169,6 @@ val lift_limb_to : t -> src:int -> target_modulus:int -> int array
 
 val coeff_bignum : t -> int -> Ace_util.Bignum.t
 (** CRT-recombine coefficient [i] (requires a prefix limb set in [Coeff]
-    domain); used by the decoder. *)
+    domain): the bignum reference for {!Crt.centered_float}. *)
 
 val pp : Format.formatter -> t -> unit

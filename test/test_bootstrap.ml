@@ -43,6 +43,97 @@ let test_refresh_oracle () =
   let got = Encoder.decode ctx (Eval.decrypt keys out) in
   if max_err m got > 1e-2 then Alcotest.failf "refresh error %.4f" (max_err m got)
 
+(* --- the refresh oracle on the ring and chain the resnet models run on --- *)
+
+module Rns_poly = Ace_rns.Rns_poly
+module Limb_pool = Ace_rns.Limb_pool
+module Domain_pool = Ace_util.Domain_pool
+
+let rt_ctx = lazy (Ace_ckks_ir.Param_select.execution_context ~depth:12 ~slots:1024 ())
+let rt_keys = lazy (Keys.generate (Lazy.force rt_ctx) ~rng:(Rng.create 4243) ~rotations:[])
+
+(* Inputs at a scale other than Delta: the oracle must rescale them. *)
+let off_scale ctx = Context.scale ctx *. 1.37
+
+let rt_input ~level =
+  let ctx = Lazy.force rt_ctx and keys = Lazy.force rt_keys in
+  let pt = Encoder.encode ctx ~level ~scale:(off_scale ctx) (msg ctx (50 + level)) in
+  Eval.encrypt keys ~rng:(Rng.create (60 + level)) pt
+
+(* A refresh adds to every coefficient the rounding of the rescaled
+   value (at most 1/2) and a rounded Gaussian draw (under 6 sigma + 1/2
+   for every draw here), so no slot moves by more than N (6 sigma + 1)
+   over Delta from the input's own decryption. *)
+let fresh_noise_bound ctx =
+  let sigma = (Context.params ctx).Context.error_sigma in
+  float_of_int (Context.ring_degree ctx) *. ((6.0 *. sigma) +. 1.0) /. Context.scale ctx
+
+let max_err_cplx a b =
+  let e = ref 0.0 in
+  Array.iteri (fun i (x : Cplx.t) -> e := max !e (Cplx.norm (Cplx.sub x b.(i)))) a;
+  !e
+
+let test_refresh_every_level_pair () =
+  let ctx = Lazy.force rt_ctx and keys = Lazy.force rt_keys in
+  let bound = fresh_noise_bound ctx in
+  for input = 0 to 4 do
+    let ct = rt_input ~level:input in
+    let want = Encoder.decode_complex ctx (Eval.decrypt keys ct) in
+    for target = 1 to Context.max_level ctx do
+      let out = Bootstrap.refresh_impl keys ~seed:1 ~ordinal:(input * 100 + target) ~target_level:target ct in
+      let what = Printf.sprintf "L%d -> L%d" input target in
+      Alcotest.(check int) (what ^ " level") target (Ciphertext.level out);
+      Alcotest.(check (float 0.0)) (what ^ " scale") (Context.scale ctx) (Ciphertext.scale_of out);
+      let e = max_err_cplx want (Encoder.decode_complex ctx (Eval.decrypt keys out)) in
+      if e > bound then Alcotest.failf "%s: error %.3e above the fresh-noise bound %.3e" what e bound;
+      Ciphertext.release out
+    done
+  done
+
+let same_ct (a : Ciphertext.ct) (b : Ciphertext.ct) =
+  Array.for_all2 Rns_poly.equal a.Ciphertext.polys b.Ciphertext.polys
+
+let test_refresh_randomness_keyed () =
+  let keys = Lazy.force rt_keys in
+  let ct = rt_input ~level:1 in
+  let go ordinal = Bootstrap.refresh_impl keys ~seed:9 ~ordinal ~target_level:3 ct in
+  Alcotest.(check bool) "equal (seed, ordinal): equal ciphertexts" true (same_ct (go 5) (go 5));
+  Alcotest.(check bool) "another ordinal: another a" false
+    (Rns_poly.equal (go 5).Ciphertext.polys.(1) (go 6).Ciphertext.polys.(1))
+
+let test_refresh_domain_invariant () =
+  let keys = Lazy.force rt_keys in
+  let ct = rt_input ~level:2 in
+  let at domains =
+    Domain_pool.set_num_domains domains;
+    Fun.protect ~finally:(fun () -> Domain_pool.set_num_domains 1) @@ fun () ->
+    Bootstrap.refresh_impl keys ~seed:4 ~ordinal:8 ~target_level:12 ct
+  in
+  Alcotest.(check bool) "1 and 4 domains bit-identical" true (same_ct (at 1) (at 4))
+
+(* Under pool debugging (released slabs poisoned and checked), a refresh
+   hands back every slab it takes: with its output released, acquires
+   equal releases. *)
+let test_refresh_slab_balance () =
+  let keys = Lazy.force rt_keys in
+  let ct = rt_input ~level:1 in
+  let e0 = Limb_pool.enabled () and d0 = Limb_pool.debug () in
+  Limb_pool.set_enabled true;
+  Limb_pool.set_debug true;
+  Fun.protect ~finally:(fun () ->
+      Limb_pool.set_enabled e0;
+      Limb_pool.set_debug d0)
+  @@ fun () ->
+  Limb_pool.reset_stats ();
+  for target = 1 to 4 do
+    Ciphertext.release (Bootstrap.refresh_impl keys ~seed:2 ~ordinal:target ~target_level:target ct)
+  done;
+  let s = Limb_pool.stats () in
+  let acquired = s.Limb_pool.slab_hits + s.Limb_pool.slab_misses
+  and released = s.Limb_pool.slab_releases + s.Limb_pool.slab_dropped in
+  Alcotest.(check bool) "slabs were taken" true (acquired > 0);
+  Alcotest.(check int) "acquired = released" acquired released
+
 let test_exact_bootstrap_roundtrip () =
   let ctx = Lazy.force boot_ctx and keys = Lazy.force boot_keys in
   let m = msg ctx 7 in
@@ -93,5 +184,12 @@ let () =
           Alcotest.test_case "usable after refresh" `Quick test_exact_bootstrap_supports_computation;
           Alcotest.test_case "shallow chain rejected" `Quick test_exact_bootstrap_rejects_shallow_chain;
           Alcotest.test_case "depth accounting" `Quick test_depth_accounting;
+        ] );
+      ( "refresh",
+        [
+          Alcotest.test_case "every level pair" `Quick test_refresh_every_level_pair;
+          Alcotest.test_case "randomness keyed" `Quick test_refresh_randomness_keyed;
+          Alcotest.test_case "domain invariant" `Quick test_refresh_domain_invariant;
+          Alcotest.test_case "slab balance" `Quick test_refresh_slab_balance;
         ] );
     ]

@@ -358,7 +358,7 @@ let test_old_rule_prices () =
     | None -> Alcotest.failf "no decision for %s" origin
   in
   Alcotest.(check string) "conv:conv1" "0x1.0c8f625ffffffp+29" (old_ns "conv:conv1");
-  Alcotest.(check string) "relu:relu1" "0x1.2f3e3f0cccccdp+28" (old_ns "relu:relu1")
+  Alcotest.(check string) "relu:relu1" "0x1.24a3ce2666666p+28" (old_ns "relu:relu1")
 
 (* Functions that never refresh, and everything the expert strategy
    compiles, lower exactly as before priced placement: the digests are

@@ -109,6 +109,101 @@ let test_encrypt_at_low_level () =
   Alcotest.(check int) "level" 1 (Ciphertext.level ct);
   check_close ~eps:2e-3 "low-level decrypt" msg (Encoder.decode ctx (Eval.decrypt keys ct))
 
+(* Encryption restricts the plaintext's evaluation-domain rows directly;
+   the path it replaced went through the coefficient domain and back.
+   Both must give the same ciphertext at every level of the ring and
+   chain the resnet models execute on. *)
+let resnet_ctx = lazy (Ace_ckks_ir.Param_select.execution_context ~depth:12 ~slots:1024 ())
+let resnet_keys = lazy (Keys.generate (Lazy.force resnet_ctx) ~rng:(Rng.create 77) ~rotations:[])
+
+let encrypt_via_coeff keys ~rng ~level (pt : Ciphertext.pt) =
+  let module P = Ace_rns.Rns_poly in
+  let ctx = keys.Keys.context in
+  let crt = Context.crt ctx in
+  let idx = Context.ciphertext_idx ctx ~level in
+  let sigma = (Context.params ctx).Context.error_sigma in
+  let pb, pa = keys.Keys.public in
+  let pb = P.restrict pb ~chain_idx:idx and pa = P.restrict pa ~chain_idx:idx in
+  let u = P.ntt_inplace (P.sample_ternary crt ~chain_idx:idx rng) in
+  let e0 = P.ntt_inplace (P.sample_gaussian crt ~chain_idx:idx ~sigma rng) in
+  let e1 = P.ntt_inplace (P.sample_gaussian crt ~chain_idx:idx ~sigma rng) in
+  let m = P.ntt_inplace (P.restrict (P.to_coeff pt.Ciphertext.poly) ~chain_idx:idx) in
+  (P.add (P.add (P.mul pb u) e0) m, P.add (P.mul pa u) e1)
+
+let test_encrypt_restricts_in_eval_domain () =
+  let ctx = Lazy.force resnet_ctx and keys = Lazy.force resnet_keys in
+  let msg = random_msg (Rng.create 8) (Context.slots ctx) in
+  let pt = Encoder.encode ctx ~level:(Context.max_level ctx) ~scale:(Context.scale ctx) msg in
+  for level = 0 to Context.max_level ctx do
+    let ct = Eval.encrypt_at_level keys ~rng:(Rng.create level) ~level pt in
+    let c0, c1 = encrypt_via_coeff keys ~rng:(Rng.create level) ~level pt in
+    Alcotest.(check bool)
+      (Printf.sprintf "level %d" level)
+      true
+      (Ace_rns.Rns_poly.equal ct.Ciphertext.polys.(0) c0
+      && Ace_rns.Rns_poly.equal ct.Ciphertext.polys.(1) c1)
+  done
+
+(* Decoding lifts each coefficient in native ints where it fits and
+   falls back to the bignum lift elsewhere; the slots must be the bignum
+   decoder's bit for bit at every level of two runtime contexts, for
+   plaintexts mixing small coefficients, coefficients around the native
+   bound, uniform residues and coefficients next to +-Q/2. *)
+let runtime_ctxs =
+  lazy (List.map (fun slots -> Ace_ckks_ir.Param_select.execution_context ~slots ()) [ 16; 1024 ])
+
+let bignum_decode ctx (pt : Ciphertext.pt) =
+  let module P = Ace_rns.Rns_poly in
+  let poly = P.to_coeff pt.Ciphertext.poly in
+  let slots = Context.slots ctx in
+  let modulus = Ace_rns.Crt.product (Context.crt ctx) ~limbs:(P.num_limbs poly) in
+  let coeff i = Ace_util.Bignum.centered_to_float (P.coeff_bignum poly i) ~modulus in
+  let vals =
+    Array.init slots (fun i ->
+        Cplx.make (coeff i /. pt.Ciphertext.pt_scale) (coeff (i + slots) /. pt.Ciphertext.pt_scale))
+  in
+  Cplx.embed (Context.embed_plan ctx) vals;
+  vals
+
+let prop_decode_matches_bignum =
+  let module Bignum = Ace_util.Bignum in
+  let module Crt = Ace_rns.Crt in
+  QCheck.Test.make ~name:"decode = bignum decode at every level of two runtime contexts" ~count:3
+    QCheck.small_nat (fun seed ->
+      let r = Rng.create (seed + 3) in
+      List.for_all
+        (fun ctx ->
+          let crt = Context.crt ctx and n = Context.ring_degree ctx in
+          List.for_all
+            (fun level ->
+              let limbs = level + 1 in
+              let q = Crt.product crt ~limbs in
+              let half, _ = Bignum.divmod_int q 2 in
+              let coeff i =
+                match i mod 5 with
+                | 0 -> Bignum.of_int (Rng.int r (1 lsl 40))
+                | 1 -> Bignum.sub q (Bignum.of_int (1 + Rng.int r (1 lsl 20)))
+                | 2 -> Bignum.of_int ((1 lsl 59) + Rng.int r (1 lsl 61))
+                | 3 -> Bignum.add (Bignum.sub half (Bignum.of_int 4)) (Bignum.of_int (Rng.int r 9))
+                | _ -> Crt.crt_to_bignum crt ~limbs (fun k -> Rng.int r (Crt.modulus crt k))
+              in
+              let coeffs = Array.init n coeff in
+              let rows =
+                Array.init limbs (fun k ->
+                    Array.map (fun b -> Bignum.mod_int (Bignum.rem b q) (Crt.modulus crt k)) coeffs)
+              in
+              let poly =
+                Ace_rns.Rns_poly.of_data crt ~chain_idx:(Context.ciphertext_idx ctx ~level)
+                  Ace_rns.Rns_poly.Coeff rows
+              in
+              let pt = { Ciphertext.poly; pt_scale = Context.scale ctx *. 1.37 } in
+              let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+              Array.for_all2
+                (fun (a : Cplx.t) (b : Cplx.t) -> same a.Cplx.re b.Cplx.re && same a.Cplx.im b.Cplx.im)
+                (Encoder.decode_complex ctx pt) (bignum_decode ctx pt))
+            (List.init (Context.max_level ctx + 1) Fun.id))
+        (Lazy.force runtime_ctxs))
+
 (* --- homomorphic ops --- *)
 
 let enc ?(level = None) msg seed =
@@ -321,11 +416,14 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_encode_decode;
           Alcotest.test_case "slotwise ring hom" `Quick test_encode_is_slotwise_ring_hom;
+          QCheck_alcotest.to_alcotest prop_decode_matches_bignum;
         ] );
       ( "scheme",
         [
           Alcotest.test_case "encrypt/decrypt" `Quick test_encrypt_decrypt;
           Alcotest.test_case "encrypt at low level" `Quick test_encrypt_at_low_level;
+          Alcotest.test_case "encrypt restricts in the eval domain" `Quick
+            test_encrypt_restricts_in_eval_domain;
           Alcotest.test_case "add/sub/neg" `Quick test_homomorphic_add;
           Alcotest.test_case "add plain" `Quick test_homomorphic_add_plain;
           Alcotest.test_case "mul plain + rescale" `Quick test_homomorphic_mul_plain_rescale;

@@ -401,6 +401,64 @@ let test_poly_coeff_bignum () =
   let p = Rns_poly.of_centered_coeffs ctx ~chain_idx:idx coeffs in
   Alcotest.(check string) "coeff" "999888777666" (Bignum.to_string (Rns_poly.coeff_bignum p 5))
 
+(* [Crt.lift_centered] against the bignum lift, at every limb count of
+   two runtime contexts: small centered values (every one must lift
+   natively and exactly), values around 2^60..2^62, uniform residues and
+   values next to +-Q/2 (which must take the fallback once Q/2 passes
+   2^61). Where it lifts, the native float is the bignum float bit for
+   bit: both round the same integer once. *)
+let prop_lift_centered =
+  QCheck.Test.make ~name:"lift_centered = centered crt_to_bignum at every runtime limb count"
+    ~count:20 QCheck.small_nat (fun seed ->
+      let r = Rng.create (seed + 11) in
+      List.for_all
+        (fun ctx ->
+          List.for_all
+            (fun limbs ->
+              let q = Crt.product ctx ~limbs in
+              let half, _ = Bignum.divmod_int q 2 in
+              let of_big b = Array.init limbs (fun k -> [| Bignum.mod_int b (Crt.modulus ctx k) |]) in
+              let of_int v =
+                Array.init limbs (fun k -> [| Modarith.reduce v ~modulus:(Crt.modulus ctx k) |])
+              in
+              let check ~must_lift ~must_fall rows =
+                let big = Crt.crt_to_bignum ctx ~limbs (fun k -> rows.(k).(0)) in
+                let exact = Bignum.centered_to_float big ~modulus:q in
+                let v = Crt.lift_centered ctx ~limbs rows 0 in
+                if v = Crt.too_big then not must_lift
+                else
+                  (not must_fall)
+                  && Int64.bits_of_float (float_of_int v) = Int64.bits_of_float exact
+                  && Bignum.equal big
+                       (if v >= 0 then Bignum.of_int v else Bignum.sub q (Bignum.of_int (-v)))
+              in
+              let small =
+                List.concat_map
+                  (fun b ->
+                    let v = Rng.int r (1 lsl b) in
+                    [ v; -v ])
+                  [ 1; 20; 40; 52; 55; 59 ]
+              in
+              let fits v = Bignum.compare (Bignum.of_int (abs v)) half <= 0 in
+              let big_ones = [ (1 lsl 60) + Rng.int r (1 lsl 61); max_int; -max_int ] in
+              let past_native = Bignum.compare half (Bignum.of_int (1 lsl 61)) >= 0
+              and below_native = Bignum.compare half (Bignum.of_int (1 lsl 60)) < 0 in
+              let near_half =
+                List.concat_map
+                  (fun d -> [ Bignum.sub half (Bignum.of_int d); Bignum.add half (Bignum.of_int (d + 1)) ])
+                  [ 0; 1; 2; 3 ]
+              in
+              List.for_all (fun v -> (not (fits v)) || check ~must_lift:true ~must_fall:false (of_int v)) small
+              && List.for_all (fun v -> (not (fits v)) || check ~must_lift:false ~must_fall:false (of_int v)) big_ones
+              && List.for_all (fun b -> check ~must_lift:below_native ~must_fall:past_native (of_big b)) near_half
+              && List.for_all
+                   (fun _ ->
+                     check ~must_lift:false ~must_fall:false
+                       (Array.init limbs (fun k -> [| Rng.int r (Crt.modulus ctx k) |])))
+                   [ 1; 2; 3; 4 ])
+            (List.init (Crt.num_moduli ctx) (fun l -> l + 1)))
+        (Lazy.force runtime_crts))
+
 let prop_poly_add_comm =
   QCheck.Test.make ~name:"poly addition commutes" ~count:50 QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -524,6 +582,7 @@ let () =
           Alcotest.test_case "rescale divides" `Quick test_poly_rescale_divides;
           Alcotest.test_case "rescale rounds" `Quick test_poly_rescale_rounds;
           Alcotest.test_case "coeff bignum" `Quick test_poly_coeff_bignum;
+          QCheck_alcotest.to_alcotest prop_lift_centered;
           QCheck_alcotest.to_alcotest prop_poly_add_comm;
           QCheck_alcotest.to_alcotest prop_poly_mul_distributes;
         ] );

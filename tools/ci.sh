@@ -162,7 +162,9 @@ echo "== verifier smoke, ACE_VERIFY=1 =="
 ACE_VERIFY=1 dune exec examples/quickstart.exe >/dev/null
 # The resnet example also gates the numerics of bootstrap placement: its
 # max logit deviation must stay within 0.05 (acebench's resnet_max_abs).
-rout=$(ACE_VERIFY=1 dune exec examples/resnet_infer.exe)
+# It runs with pool debugging on, the only smoke here that bootstraps:
+# every refresh's slabs are poisoned on release and checked on reuse.
+rout=$(ACE_VERIFY=1 ACE_POOL=1 ACE_POOL_DEBUG=1 dune exec examples/resnet_infer.exe)
 rdev=$(echo "$rout" | sed -n 's/^max logit deviation: //p')
 if [ -z "$rdev" ] || ! awk -v d="$rdev" 'BEGIN { exit !(d <= 0.05) }'; then
   echo "resnet_infer: max logit deviation '${rdev}' exceeds 0.05" >&2
